@@ -1,7 +1,8 @@
 # Beyond weighted sums: any supermodular, componentwise strictly monotone
 # aggregation works, as long as it decomposes per coordinate into a binary
 # combine and a partial aggregate. Custom aggregations are spot-checked by
-# sampled validation before the optimizer accepts them.
+# sampled validation before the optimizer accepts them. Their callables
+# receive whole numpy arrays (one per coordinate) and must work elementwise.
 #
 # Here: compound growth. Three multiplicative shocks with known marginals,
 # unknown dependence; how small can E[max(x1*x2*x3 - 1, 0)] get?

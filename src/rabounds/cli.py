@@ -39,10 +39,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import marginals as mg
-from .bounds import estimate_inf
+from .bounds import _prepare_specs, estimate_inf
 from .costfn import CostFunction, identity, power, stop_loss, sum_agg, weighted_sum
 from .errors import RaboundsError
-from .marginals import MarginalSpec, discretize, truncate_unbounded_sides
+from .marginals import DEFAULT_TAIL_MASS, MarginalSpec, discretize
 from .oracle import (
     arrangement_count,
     brute_force_min,
@@ -149,6 +149,29 @@ def _parse_flag(value: str, line_no: int) -> bool:
     raise ParseError(line_no, f"expected on/off, got {value!r}")
 
 
+def _numeric(make_spec):
+    """Builder for a family whose parameters are all numbers."""
+    return lambda args, line_no, base_dir: make_spec(
+        *(_parse_number(a, line_no) for a in args)
+    )
+
+
+# family -> (parameter count, usage message, builder(args, line_no, base_dir))
+_FAMILIES = {
+    "uniform": (2, "uniform needs: a b", _numeric(mg.uniform)),
+    "exponential": (1, "exponential needs: rate", _numeric(mg.exponential)),
+    "pareto": (1, "pareto needs: alpha", _numeric(mg.pareto)),
+    "normal": (2, "normal needs: mu sigma", _numeric(mg.normal)),
+    "empirical": (
+        1,
+        "empirical needs: path",
+        lambda args, line_no, base_dir: mg.empirical(
+            _load_empirical(base_dir / args[0], line_no)
+        ),
+    ),
+}
+
+
 def _parse_marginal(tokens: List[str], line_no: int, base_dir: Path) -> MarginalSpec:
     if not tokens:
         raise ParseError(line_no, "marginal needs a family name")
@@ -164,29 +187,13 @@ def _parse_marginal(tokens: List[str], line_no: int, base_dir: Path) -> Marginal
             _parse_number(tail[1], line_no),
         )
         args = args[:pos]
+    if family not in _FAMILIES:
+        raise ParseError(line_no, f"unknown marginal family {family!r}")
+    arity, usage, build = _FAMILIES[family]
+    if len(args) != arity:
+        raise ParseError(line_no, usage)
     try:
-        if family == "uniform":
-            if len(args) != 2:
-                raise ParseError(line_no, "uniform needs: a b")
-            spec = mg.uniform(_parse_number(args[0], line_no), _parse_number(args[1], line_no))
-        elif family == "exponential":
-            if len(args) != 1:
-                raise ParseError(line_no, "exponential needs: rate")
-            spec = mg.exponential(_parse_number(args[0], line_no))
-        elif family == "pareto":
-            if len(args) != 1:
-                raise ParseError(line_no, "pareto needs: alpha")
-            spec = mg.pareto(_parse_number(args[0], line_no))
-        elif family == "normal":
-            if len(args) != 2:
-                raise ParseError(line_no, "normal needs: mu sigma")
-            spec = mg.normal(_parse_number(args[0], line_no), _parse_number(args[1], line_no))
-        elif family == "empirical":
-            if len(args) != 1:
-                raise ParseError(line_no, "empirical needs: path")
-            spec = mg.empirical(_load_empirical(base_dir / args[0], line_no))
-        else:
-            raise ParseError(line_no, f"unknown marginal family {family!r}")
+        spec = build(args, line_no, base_dir)
     except ValueError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
     if window is not None:
@@ -420,10 +427,8 @@ def _oracle_check(case: CaseConfig) -> Dict[str, str]:
     """Exhaustive min per grid, plus the fixed-point-set equality verdict."""
     out = {}
     verdicts = []
+    prepared, _, _ = _prepare_specs(case.specs, case.auto_truncate, DEFAULT_TAIL_MASS)
     for kind, column in (("lower", "oracle_lower"), ("upper", "oracle_upper")):
-        prepared = [
-            truncate_unbounded_sides(s) if case.auto_truncate else s for s in case.specs
-        ]
         margs = [discretize(s, case.n, kind) for s in prepared]
         X = ArrangementMatrix.comonotonic(margs)
         global_min, _ = brute_force_min(X, case.cost, budget=case.oracle_budget)

@@ -15,6 +15,9 @@ construction: their combine is supermodular (indeed modular) and h is
 componentwise strictly increasing. Custom aggregations only promise these
 properties; spot-check them with :func:`validate_cost` before running the
 rearrangement. Validation samples points, so it can refute but never prove.
+
+Every aggregation is evaluated through the ``*_rows`` functions on whole
+arrays; the scalar ``eval_*`` functions are one-row wrappers over them.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class AggregationSpec:
     d: int
     kind: str
     weights: Optional[Tuple[float, ...]] = None
-    h: Optional[Callable[..., float]] = None
-    h2: Optional[Tuple[Callable[[float, float], float], ...]] = None
-    hd1: Optional[Tuple[Callable[..., float], ...]] = None
+    h: Optional[Callable[..., np.ndarray]] = None
+    h2: Optional[Tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], ...]] = None
+    hd1: Optional[Tuple[Callable[..., np.ndarray], ...]] = None
     monotone_direction: Optional[Tuple[str, ...]] = None
 
     @property
@@ -95,16 +98,21 @@ def weighted_sum(weights: Sequence[float]) -> AggregationSpec:
 
 def custom_agg(
     d: int,
-    h: Callable[..., float],
+    h: Callable[..., np.ndarray],
     h2,
     hd1,
     monotone_direction,
 ) -> AggregationSpec:
     """Custom aggregation from user callables.
 
-    ``h2`` / ``hd1`` may be a single callable (used for every coordinate) or a
-    sequence of d callables. ``monotone_direction`` is "increasing" or
-    "decreasing", again single or per coordinate. The result must pass
+    Every callable receives whole numpy arrays, one per coordinate, and must
+    return an array of the same shape: ``h(x_1, ..., x_d)``,
+    ``h2[i](x_i, partial)`` and ``hd1[i](x_1, ..., x_{d-1})`` are evaluated
+    on all rows at once, so build them from elementwise numpy operations
+    (``np.log``, not ``math.log``). ``h2`` / ``hd1`` may be a single callable
+    (used for every coordinate) or a sequence of d callables.
+    ``monotone_direction`` is "increasing" or "decreasing", again single or
+    per coordinate. The result must pass
     :func:`validate_cost` before it can drive the rearrangement.
     """
     if d < 2:
@@ -192,42 +200,44 @@ def _check_index(agg: AggregationSpec, i: int) -> None:
         raise IndexError(f"column index {i} out of range for arity {agg.d}")
 
 
+def _custom_rows(
+    fn: Callable[..., np.ndarray], args: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Call a custom h, h2 or hd1 on whole arrays; the one place they run.
+
+    The result must have the shape of the inputs: a callable returning a
+    constant would otherwise broadcast silently.
+    """
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != np.shape(args[0]):
+        raise ArityMismatch(
+            f"custom callable returned shape {out.shape} for inputs of shape "
+            f"{np.shape(args[0])}"
+        )
+    return out
+
+
+def _one_row(row: Sequence[float]) -> np.ndarray:
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1:
+        raise ArityMismatch(f"expected a single row, got shape {row.shape}")
+    return row[:, None]
+
+
 def eval_h(agg: AggregationSpec, row: Sequence[float]) -> float:
     """Aggregate one row of d values."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (agg.d,):
-        raise ArityMismatch(f"expected a row of length {agg.d}, got shape {row.shape}")
-    if agg.kind == "sum":
-        return float(np.sum(row))
-    if agg.kind == "weighted_sum":
-        return float(np.dot(np.asarray(agg.weights), row))
-    return float(agg.h(*row))
+    return float(eval_h_rows(agg, _one_row(row))[0])
 
 
 def eval_partial(agg: AggregationSpec, i: int, row_minus_i: Sequence[float]) -> float:
     """Aggregate a row with coordinate i removed: partial_i(x_{-i})."""
-    _check_index(agg, i)
-    row = np.asarray(row_minus_i, dtype=float)
-    if row.shape != (agg.d - 1,):
-        raise ArityMismatch(
-            f"expected a row of length {agg.d - 1}, got shape {row.shape}"
-        )
-    if agg.kind == "sum":
-        return float(np.sum(row))
-    if agg.kind == "weighted_sum":
-        w = np.delete(np.asarray(agg.weights), i)
-        return float(np.dot(w, row))
-    return float(agg.hd1[i](*row))
+    return float(eval_partial_rows(agg, i, _one_row(row_minus_i))[0])
 
 
 def eval_h2(agg: AggregationSpec, i: int, xi: float, partial: float) -> float:
     """Combine coordinate i with the partial aggregate: combine_i(x_i, s)."""
-    _check_index(agg, i)
-    if agg.kind == "sum":
-        return float(xi + partial)
-    if agg.kind == "weighted_sum":
-        return float(agg.weights[i] * xi + partial)
-    return float(agg.h2[i](xi, partial))
+    xi_row, partial_row = _one_row((xi, partial))
+    return float(eval_h2_rows(agg, i, xi_row, partial_row)[0])
 
 
 def eval_g(transform: TransformSpec, y: float) -> float:
@@ -236,7 +246,10 @@ def eval_g(transform: TransformSpec, y: float) -> float:
 
 
 def eval_h_rows(agg: AggregationSpec, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Aggregate every row of a matrix given as a sequence of d columns."""
+    """Aggregate every row of a matrix given as a sequence of d columns.
+
+    Columns may be arrays of any common shape, e.g. ``(chunk, n)`` blocks.
+    """
     if len(columns) != agg.d:
         raise ArityMismatch(f"expected {agg.d} columns, got {len(columns)}")
     if agg.kind == "sum":
@@ -249,7 +262,7 @@ def eval_h_rows(agg: AggregationSpec, columns: Sequence[np.ndarray]) -> np.ndarr
         for w, c in zip(agg.weights[1:], columns[1:]):
             out += w * c
         return out
-    return np.array([agg.h(*row) for row in zip(*columns)], dtype=float)
+    return _custom_rows(agg.h, columns)
 
 
 def eval_partial_rows(
@@ -272,8 +285,7 @@ def eval_partial_rows(
         for wj, c in zip(w[1:], columns_minus_i[1:]):
             out += wj * c
         return out
-    fn = agg.hd1[i]
-    return np.array([fn(*row) for row in zip(*columns_minus_i)], dtype=float)
+    return _custom_rows(agg.hd1[i], columns_minus_i)
 
 
 def eval_h2_rows(
@@ -285,8 +297,7 @@ def eval_h2_rows(
         return xi + partial
     if agg.kind == "weighted_sum":
         return agg.weights[i] * xi + partial
-    fn = agg.h2[i]
-    return np.array([fn(a, b) for a, b in zip(xi, partial)], dtype=float)
+    return _custom_rows(agg.h2[i], (xi, partial))
 
 
 def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
@@ -303,10 +314,6 @@ def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
 def eval_f(cost: CostFunction, row: Sequence[float]) -> float:
     """f(row) = g(h(row))."""
     return eval_g(cost.transform, eval_h(cost.agg, row))
-
-
-def eval_f_rows(cost: CostFunction, columns: Sequence[np.ndarray]) -> np.ndarray:
-    return eval_g_rows(cost.transform, eval_h_rows(cost.agg, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +347,13 @@ def validate_decomposition(
 
     The comparison is |difference| <= tol * (1 + |h(x)|).
     """
-    for x in np.asarray(sample, dtype=float):
-        hx = eval_h(agg, x)
-        for i in range(agg.d):
-            rest = np.delete(x, i)
-            recomposed = eval_h2(agg, i, x[i], eval_partial(agg, i, rest))
-            if abs(hx - recomposed) > tol * (1.0 + abs(hx)):
-                return False
+    cols = list(np.asarray(sample, dtype=float).T)
+    hx = eval_h_rows(agg, cols)
+    for i in range(agg.d):
+        part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
+        recomposed = eval_h2_rows(agg, i, cols[i], part)
+        if np.any(np.abs(hx - recomposed) > tol * (1.0 + np.abs(hx))):
+            return False
     return True
 
 
@@ -372,15 +379,14 @@ def _declared_monotonicity_holds(
     agg: AggregationSpec, sample: np.ndarray, rng: np.random.Generator, tol: float
 ) -> bool:
     steps = rng.uniform(1e-3, 1.0, size=sample.shape[0])
-    for x, step in zip(sample, steps):
-        hx = eval_h(agg, x)
-        for j in range(agg.d):
-            bumped = x.copy()
-            bumped[j] += step
-            diff = eval_h(agg, bumped) - hx
-            want_up = agg.monotone_direction[j] == "increasing"
-            if (diff < -tol) if want_up else (diff > tol):
-                return False
+    cols = list(sample.T)
+    hx = eval_h_rows(agg, cols)
+    for j in range(agg.d):
+        bumped = cols[:j] + [cols[j] + steps] + cols[j + 1 :]
+        diff = eval_h_rows(agg, bumped) - hx
+        want_up = agg.monotone_direction[j] == "increasing"
+        if np.any(diff < -tol) if want_up else np.any(diff > tol):
+            return False
     return True
 
 
@@ -404,14 +410,20 @@ def validate_cost(
     agg = cost.agg
     rng = np.random.default_rng(seed)
     sample = rng.uniform(low, high, size=(samples, agg.d))
-    if not validate_decomposition(agg, sample, tol=tol):
+    try:
+        decomposes = validate_decomposition(agg, sample, tol=tol)
+        monotone = decomposes and _declared_monotonicity_holds(agg, sample, rng, tol)
+    except Exception as exc:
+        raise ValidationFailed(
+            f"custom aggregation fails on whole-array input: {exc!r}"
+        ) from exc
+    if not decomposes:
         raise ValidationFailed("custom aggregation fails its decomposition identity")
-    if not _declared_monotonicity_holds(agg, sample, rng, tol):
+    if not monotone:
         raise ValidationFailed("custom aggregation violates its declared monotonicity")
+    half = list(sample[: samples // 2].T)
     for i in range(agg.d):
-        partials = np.array(
-            [eval_partial(agg, i, np.delete(x, i)) for x in sample[: samples // 2]]
-        )
+        partials = eval_partial_rows(agg, i, half[:i] + half[i + 1 :])
         xs = rng.uniform(low, high, size=partials.size)
         pts = list(zip(xs, partials))
         pairs = list(zip(pts[0::2], pts[1::2]))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -122,27 +123,36 @@ def compare(x, y, tol: float = DEFAULT_TOL) -> OrderRelation:
     return rel(Order.INCOMPARABLE)
 
 
+def _opposite_order(x: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """None when x is oppositely ordered to its partner y; otherwise the
+    stable descending order of y, along which a rearrangement of x should
+    place its ascending values.
+
+    Along that order x must never decrease across groups of distinct y
+    values; ties in y place no constraint on x. Consecutive group dominance
+    implies the all-pairs condition.
+    """
+    order = np.argsort(-y, kind="stable")
+    ys = y[order]
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    if starts.size >= 2:
+        xs = x[order]
+        gmax = np.maximum.reduceat(xs, starts)
+        gmin = np.minimum.reduceat(xs, starts)
+        if not np.all(gmax[:-1] <= gmin[1:]):
+            return order
+    return None
+
+
 def is_oppositely_ordered(x, y) -> bool:
     """True iff (x_i - x_j) * (y_i - y_j) <= 0 for every index pair.
 
-    Equivalent O(n log n) check: along the stable ascending order of x, the
-    values of y must never increase across groups of distinct x values; ties
-    in x place no constraint on y.
+    Equivalent O(n log n) check: along the stable descending order of the
+    partner y, the values of x must never decrease across groups of distinct
+    y values; ties in y place no constraint on x.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatch(f"need equal-length vectors, got {x.shape} and {y.shape}")
-    n = x.size
-    if n < 2:
-        return True
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    if starts.size < 2:
-        return True
-    gmax = np.maximum.reduceat(ys, starts)
-    gmin = np.minimum.reduceat(ys, starts)
-    # groups are ascending in x; consecutive dominance implies all-pairs
-    return bool(np.all(gmin[:-1] >= gmax[1:]))
+    return _opposite_order(x, y) is None

@@ -7,8 +7,8 @@ maximum of the objective, the minimum restricted to arrangements where every
 column is oppositely ordered to its partial aggregate, and the comonotonic
 estimate of the supremum.
 
-Sum and weighted-sum aggregations take a vectorized path that evaluates
-arrangements in chunks; custom aggregations fall back to a plain loop.
+Every aggregation kind takes one vectorized path that evaluates
+arrangements in chunks through the costfn row functions.
 """
 
 from __future__ import annotations
@@ -19,10 +19,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .costfn import CostFunction, eval_g_rows
-from .errors import BudgetExceeded, InternalInconsistency, LengthMismatch
+from .costfn import CostFunction, eval_g_rows, eval_h_rows, eval_partial_rows
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    LengthMismatch,
+    ValidationFailed,
+)
 from .marginals import DiscreteMarginal
-from .ra_core import ArrangementMatrix, is_in_opposite_set, objective
+from .ra_core import ArrangementMatrix, objective
 
 __all__ = [
     "brute_force_min",
@@ -64,25 +69,25 @@ def _opposite_batch(colvals: np.ndarray, part: np.ndarray) -> np.ndarray:
     return ~violating.any(axis=(1, 2))
 
 
-def _scan_fast(
+def _scan(
     X: ArrangementMatrix,
     cost: CostFunction,
     budget: int,
     mode: str,
     chunk_size: Optional[int],
-) -> Tuple[float, int]:
-    """Chunked vectorized scan for sum / weighted-sum aggregations.
+) -> Tuple[float, ArrangementMatrix]:
+    """Chunked scan over every arrangement, in lexicographic order.
 
-    mode is "min", "max", or "min_restricted"; returns (value, flat index of
-    an attaining arrangement).
+    mode is "min", "max", or "min_restricted"; returns the value and the
+    first arrangement attaining it. Each chunk is a list of d ``(chunk, n)``
+    blocks evaluated by the costfn row functions, so every aggregation kind
+    takes this one path.
     """
     total = _check_budget(X, budget)
     n, d = X.n, X.d
     agg = cost.agg
-    w = np.ones(d) if agg.kind == "sum" else np.asarray(agg.weights, dtype=float)
     perms = _perm_table(n)
-    m = perms.shape[0]
-    shape = (m,) * (d - 1)
+    shape = (perms.shape[0],) * (d - 1)
     tables = [X.columns[i][perms] for i in range(1, d)]
     base = X.columns[0]
     if chunk_size is None:
@@ -94,25 +99,19 @@ def _scan_fast(
     best_flat = -1
     for lo in range(0, total, chunk_size):
         hi = min(lo + chunk_size, total)
-        flat = np.arange(lo, hi)
-        ids = np.unravel_index(flat, shape)
+        ids = np.unravel_index(np.arange(lo, hi), shape)
         vals = [np.broadcast_to(base, (hi - lo, n))]
         vals.extend(t[idc] for t, idc in zip(tables, ids))
-        H = w[0] * vals[0]
-        for wi, v in zip(w[1:], vals[1:]):
-            H = H + wi * v
-        obj = eval_g_rows(cost.transform, H).sum(axis=1)
+        obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=1)
+        if not np.all(np.isfinite(obj)):
+            raise ValidationFailed("cost evaluates to a non-finite objective")
         if mode == "min_restricted":
             feasible = np.ones(hi - lo, dtype=bool)
             for i in range(d):
-                # accumulate the partial directly (same order as the loop's
-                # partial_aggregate_column); deriving it as H - w_i*vals_i
-                # cancels catastrophically on tied values and can flag exact
-                # ties as violations
-                rest = [j for j in range(d) if j != i]
-                part = w[rest[0]] * vals[rest[0]]
-                for j in rest[1:]:
-                    part = part + w[j] * vals[j]
+                # the partial is aggregated from the other columns, as in the
+                # loop; deriving it as H - w_i*vals_i cancels catastrophically
+                # on tied values and can flag exact ties as violations
+                part = eval_partial_rows(agg, i, vals[:i] + vals[i + 1 :])
                 feasible &= _opposite_batch(np.ascontiguousarray(vals[i]), part)
             obj = np.where(feasible, obj, np.inf)
         scored = sign * obj
@@ -124,56 +123,10 @@ def _scan_fast(
         raise InternalInconsistency(
             "no oppositely-ordered arrangement found; the fixed-point set is never empty"
         )
-    return sign * best, best_flat
-
-
-def _matrix_at_flat(X: ArrangementMatrix, flat: int) -> ArrangementMatrix:
-    n, d = X.n, X.d
-    perms = _perm_table(n)
-    ids = np.unravel_index(flat, (perms.shape[0],) * (d - 1))
-    cols = [X.columns[0]]
-    cols.extend(X.columns[i + 1][perms[ids[i]]] for i in range(d - 1))
-    return ArrangementMatrix(tuple(cols), X.provenance)
-
-
-def _scan_generic(
-    X: ArrangementMatrix, cost: CostFunction, budget: int, mode: str
-) -> Tuple[float, ArrangementMatrix]:
-    """Plain enumeration for custom aggregations."""
-    _check_budget(X, budget)
-    n, d = X.n, X.d
-    sign = -1.0 if mode == "max" else 1.0
-    best = np.inf
-    best_matrix = None
-    all_perms = list(itertools.permutations(range(n)))
-    for combo in itertools.product(all_perms, repeat=d - 1):
-        cols = [X.columns[0]]
-        cols.extend(X.columns[i + 1][np.array(p)] for i, p in enumerate(combo))
-        candidate = ArrangementMatrix(tuple(cols), X.provenance)
-        if mode == "min_restricted" and not is_in_opposite_set(candidate, cost.agg):
-            continue
-        val = sign * objective(candidate, cost)
-        if val < best:
-            best = val
-            best_matrix = candidate
-    if best_matrix is None:
-        raise InternalInconsistency(
-            "no oppositely-ordered arrangement found; the fixed-point set is never empty"
-        )
-    return sign * best, best_matrix
-
-
-def _scan(
-    X: ArrangementMatrix,
-    cost: CostFunction,
-    budget: int,
-    mode: str,
-    chunk_size: Optional[int],
-) -> Tuple[float, ArrangementMatrix]:
-    if cost.agg.kind in ("sum", "weighted_sum"):
-        val, flat = _scan_fast(X, cost, budget, mode, chunk_size)
-        return val, _matrix_at_flat(X, flat)
-    return _scan_generic(X, cost, budget, mode)
+    ids = np.unravel_index(best_flat, shape)
+    cols = [base]
+    cols.extend(t[idc] for t, idc in zip(tables, ids))
+    return sign * best, ArrangementMatrix(tuple(cols), X.provenance)
 
 
 def brute_force_min(

@@ -30,7 +30,7 @@ from .costfn import (
     eval_partial_rows,
 )
 from .errors import ArityMismatch, ValidationFailed
-from .majorization import is_oppositely_ordered
+from .majorization import _opposite_order, is_oppositely_ordered
 from .marginals import DiscreteMarginal
 
 __all__ = [
@@ -131,9 +131,16 @@ def _check_arity(X: ArrangementMatrix, d: int) -> None:
 
 
 def objective(X: ArrangementMatrix, cost: CostFunction) -> float:
-    """Sum over rows of g(h(row))."""
+    """Sum over rows of g(h(row)).
+
+    Raises :class:`ValidationFailed` when the sum is not finite: a NaN would
+    never compare below another objective, so it could silently win restarts.
+    """
     _check_arity(X, cost.d)
-    return float(np.sum(eval_g_rows(cost.transform, eval_h_rows(cost.agg, X.columns))))
+    total = float(np.sum(eval_g_rows(cost.transform, eval_h_rows(cost.agg, X.columns))))
+    if not np.isfinite(total):
+        raise ValidationFailed(f"cost evaluates to a non-finite objective ({total})")
+    return total
 
 
 def partial_aggregate_column(
@@ -145,42 +152,22 @@ def partial_aggregate_column(
     return eval_partial_rows(agg, i, rest)
 
 
-def _opposite_arrangement(sorted_col: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Place ascending column values at positions of descending partials.
-
-    Ties in the partial aggregate are broken by original row index (stable
-    sort), so the result is deterministic; the opposite-ordering predicate
-    holds regardless of how ties fall.
-    """
-    order = np.argsort(-part, kind="stable")
-    out = np.empty_like(sorted_col)
-    out[order] = sorted_col
-    return out
-
-
 def _column_pass(
     col: np.ndarray, sorted_col: np.ndarray, part: np.ndarray
 ) -> Optional[np.ndarray]:
     """One sweep step: None if col is already opposite to part, else the
     rearranged column.
 
-    Shares a single argsort between the predicate and the rearrangement:
-    along the descending order of part, col must never decrease across groups
-    of distinct part values (ties in part place no constraint), which is
-    exactly the opposite-ordering predicate.
+    Ascending column values go to the positions of descending partials; ties
+    in the partial aggregate are broken by row index (stable sort), so the
+    result is deterministic.
     """
-    order = np.argsort(-part, kind="stable")
-    ps = part[order]
-    starts = np.flatnonzero(np.concatenate(([True], ps[1:] != ps[:-1])))
-    if starts.size >= 2:
-        cs = col[order]
-        gmax = np.maximum.reduceat(cs, starts)
-        gmin = np.minimum.reduceat(cs, starts)
-        if not np.all(gmax[:-1] <= gmin[1:]):
-            out = np.empty_like(sorted_col)
-            out[order] = sorted_col
-            return out
-    return None
+    order = _opposite_order(col, part)
+    if order is None:
+        return None
+    out = np.empty_like(sorted_col)
+    out[order] = sorted_col
+    return out
 
 
 def rearrange_column(
@@ -191,11 +178,9 @@ def rearrange_column(
     Returns X itself when the column is already oppositely ordered, so the
     operation is idempotent; otherwise only column i changes.
     """
-    part = partial_aggregate_column(X, i, agg)
     col = X.columns[i]
-    if is_oppositely_ordered(col, part):
-        return X
-    return X.with_column(i, _opposite_arrangement(np.sort(col), part))
+    new_col = _column_pass(col, np.sort(col), partial_aggregate_column(X, i, agg))
+    return X if new_col is None else X.with_column(i, new_col)
 
 
 def is_in_opposite_set(X: ArrangementMatrix, agg: AggregationSpec) -> bool:

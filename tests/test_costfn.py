@@ -1,5 +1,7 @@
 """Tests for aggregation decompositions, transforms, and sampled validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,34 @@ class TestValidateCost:
         )
         with pytest.raises(ValidationFailed):
             validate_cost(CostFunction(decreasing, identity()))
+
+
+    def test_scalar_only_callable_rejected(self):
+        # math.log accepts one number, not the whole sample at once
+        logs = custom_agg(
+            2,
+            h=lambda a, b: math.log(a) + math.log(b),
+            h2=lambda x, s: math.log(x) + s,
+            hd1=lambda v: math.log(v),
+            monotone_direction="increasing",
+        )
+        with pytest.raises(ValidationFailed) as err:
+            validate_cost(CostFunction(logs, identity()), low=0.5, high=2.0)
+        assert isinstance(err.value.__cause__, TypeError)
+
+    def test_constant_returning_partial_rejected(self):
+        # h(a, b) = a: the partial over b is the constant 0, which holds row
+        # by row but must still come back as one value per row
+        first = custom_agg(
+            2,
+            h=lambda a, b: a + 0.0 * b,
+            h2=[lambda x, s: x + s, lambda x, s: s],
+            hd1=[lambda b: 0.0, lambda a: a],
+            monotone_direction="increasing",
+        )
+        with pytest.raises(ValidationFailed) as err:
+            validate_cost(CostFunction(first, identity()))
+        assert isinstance(err.value.__cause__, ArityMismatch)
 
 
 class TestAlgebraicProperties:

@@ -30,6 +30,18 @@ from rabounds.marginals import DiscreteMarginal
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
 
+# demo 05's compound-growth aggregation x1*x2*x3 under stop_loss(1)
+PRODUCT3 = CostFunction(
+    custom_agg(
+        3,
+        h=lambda a, b, c: a * b * c,
+        h2=lambda x, s: x * s,
+        hd1=[lambda b, c: b * c, lambda a, c: a * c, lambda a, b: a * b],
+        monotone_direction="increasing",
+    ),
+    stop_loss(1.0),
+)
+
 
 def matrix(*cols):
     return ArrangementMatrix.from_columns([np.asarray(c, dtype=float) for c in cols])
@@ -109,11 +121,15 @@ class TestBruteForceMin:
         )
         cost = validate_cost(CostFunction(agg, identity()), low=0.5, high=2.0)
         cols = [rng.uniform(0.5, 2, size=4) for _ in range(2)]
-        want_min, want_max = slow_extremes(cols, cost)
-        got_min, _ = brute_force_min(matrix(*cols), cost)
-        got_max, _ = brute_force_max(matrix(*cols), cost)
-        assert got_min == pytest.approx(want_min, abs=1e-9)
-        assert got_max == pytest.approx(want_max, abs=1e-9)
+        cases = [(cols, cost)]
+        product_cost = validate_cost(PRODUCT3, low=0.8, high=1.25)
+        cases.append(([rng.uniform(0.8, 1.25, size=4) for _ in range(3)], product_cost))
+        for cols, cost in cases:
+            want_min, want_max = slow_extremes(cols, cost)
+            got_min, _ = brute_force_min(matrix(*cols), cost)
+            got_max, _ = brute_force_max(matrix(*cols), cost)
+            assert got_min == pytest.approx(want_min, abs=1e-9)
+            assert got_max == pytest.approx(want_max, abs=1e-9)
 
 
 class TestRestrictedMin:
@@ -153,15 +169,27 @@ class TestRestrictedMin:
 
     def test_vectorized_predicate_matches_reference(self):
         rng = np.random.default_rng(4)
+        cases = []
         for _ in range(10):
             n = int(rng.integers(2, 5))
             cols = [rng.choice([0.0, 0.5, 1.0], size=n) for _ in range(2)]
-            cost = CostFunction(sum_agg(2), stop_loss(0.5))
+            cases.append((cols, CostFunction(sum_agg(2), stop_loss(0.5))))
+        # demo 05's product: tied factors give tied partial products
+        product_cost = validate_cost(PRODUCT3, low=0.8, high=1.25)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            cols = [rng.choice([0.8, 1.0, 1.25], size=n) for _ in range(3)]
+            cases.append((cols, product_cost))
+        for cols, cost in cases:
+            n = len(cols[0])
             X = matrix(*cols)
             # reference: filter the plain enumeration by the public predicate
             best = math.inf
-            for perm in itertools.permutations(range(n)):
-                Y = matrix(cols[0], np.asarray(cols[1])[list(perm)])
+            for combo in itertools.product(
+                list(itertools.permutations(range(n))), repeat=len(cols) - 1
+            ):
+                rest = (np.asarray(c)[list(p)] for c, p in zip(cols[1:], combo))
+                Y = matrix(cols[0], *rest)
                 if is_in_opposite_set(Y, cost.agg):
                     best = min(best, objective(Y, cost))
             got = brute_force_min_over_opposite_set(X, cost)

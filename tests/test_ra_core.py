@@ -12,7 +12,9 @@ from rabounds import (
     ArrangementMatrix,
     CostFunction,
     ValidationFailed,
+    brute_force_min,
     compare,
+    custom_transform,
     identity,
     is_in_opposite_set,
     is_oppositely_ordered,
@@ -268,3 +270,15 @@ class TestRestarts:
         b = run_ra_restarts(X, cost, restarts=4, seed=11)
         assert a.objective == b.objective
         assert all(np.array_equal(x, y) for x, y in zip(a.matrix.columns, b.matrix.columns))
+
+    def test_non_finite_objective_rejected(self):
+        # row sums average 1.5, so every arrangement has a row in the NaN part
+        rng = np.random.default_rng(5)
+        X = matrix(*rng.uniform(size=(3, 30)))
+        cost = CostFunction(
+            sum_agg(3), custom_transform(lambda y: np.where(y > 1.0, np.nan, y))
+        )
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            run_ra_restarts(X, cost, restarts=3, seed=0)
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            brute_force_min(matrix(*rng.uniform(size=(3, 3))), cost)
