@@ -76,6 +76,19 @@ def _prepare_specs(
     return prepared, windows, tuple(auto_flags)
 
 
+def _grid_sides(specs: Sequence[MarginalSpec], cost: CostFunction, n: int,
+                auto_truncate: bool, tail_mass: float):
+    """Check the arity and truncate once; return a per-side discretizer.
+
+    Each side is discretized only when asked for, so a caller timing a side
+    times its grids too.
+    """
+    if len(specs) != cost.d:
+        raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
+    prepared, windows, auto_flags = _prepare_specs(specs, auto_truncate, tail_mass)
+    return (lambda kind: [discretize(s, n, kind) for s in prepared]), windows, auto_flags
+
+
 def estimate_inf(
     specs: Sequence[MarginalSpec],
     cost: CostFunction,
@@ -94,20 +107,16 @@ def estimate_inf(
     The bracket property needs a componentwise increasing cost; anything else
     is rejected.
     """
-    if len(specs) != cost.d:
-        raise ValidationFailed(
-            f"cost expects {cost.d} marginals, got {len(specs)}"
-        )
+    grids, windows, auto_flags = _grid_sides(specs, cost, n, auto_truncate, tail_mass)
     if not cost.componentwise_increasing:
         raise ValidationFailed(
             "bracketing requires a componentwise increasing cost"
         )
-    prepared, windows, auto_flags = _prepare_specs(specs, auto_truncate, tail_mass)
 
     side = {}
     for kind in ("lower", "upper"):
         t0 = time.perf_counter()
-        margs = [discretize(s, n, kind) for s in prepared]
+        margs = grids(kind)
         start = ArrangementMatrix.comonotonic(margs)
         res = run_ra_restarts(start, cost, restarts=restarts, seed=seed, max_sweeps=max_sweeps)
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -146,13 +155,7 @@ def estimate_sup(
     Valid as a supremum only for supermodular costs (declared by construction
     for the built-in forms).
     """
-    if len(specs) != cost.d:
-        raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
+    grids, _, _ = _grid_sides(specs, cost, n, auto_truncate, tail_mass)
     if not cost.is_validated:
         raise ValidationFailed("validate the cost before estimating the supremum")
-    prepared, _, _ = _prepare_specs(specs, auto_truncate, tail_mass)
-    out = []
-    for kind in ("lower", "upper"):
-        margs = [discretize(s, n, kind) for s in prepared]
-        out.append(comonotonic_value(margs, cost))
-    return out[0], out[1]
+    return comonotonic_value(grids("lower"), cost), comonotonic_value(grids("upper"), cost)

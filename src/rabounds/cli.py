@@ -44,11 +44,12 @@ from .costfn import CostFunction, identity, power, stop_loss, sum_agg, weighted_
 from .errors import RaboundsError
 from .marginals import DEFAULT_TAIL_MASS, MarginalSpec, discretize
 from .oracle import (
+    DEFAULT_BUDGET,
     arrangement_count,
     brute_force_min,
     brute_force_min_over_opposite_set,
 )
-from .ra_core import ArrangementMatrix
+from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix
 
 __all__ = [
     "ParseError",
@@ -109,7 +110,7 @@ class CaseConfig:
     restarts: int = 1
     seed: Optional[int] = None  # None -> global default
     oracle: bool = False
-    oracle_budget: int = 1_000_000
+    oracle_budget: int = DEFAULT_BUDGET
     auto_truncate: bool = True
 
 
@@ -117,7 +118,7 @@ class CaseConfig:
 class RunConfig:
     cases: Tuple[CaseConfig, ...]
     seed: int = 0
-    max_sweeps: int = 100
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def _blank_case(cid: str) -> Dict:
         "restarts": 1,
         "seed": None,
         "oracle": False,
-        "oracle_budget": 1_000_000,
+        "oracle_budget": DEFAULT_BUDGET,
         "auto_truncate": True,
     }
 
@@ -330,7 +331,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """
     base = Path(base_dir)
     global_seed = 0
-    global_max_sweeps = 100
+    global_max_sweeps = DEFAULT_MAX_SWEEPS
     cases: List[CaseConfig] = []
     current: Optional[Dict] = None
     seen_ids = set()

@@ -17,7 +17,8 @@ properties; spot-check them with :func:`validate_cost` before running the
 rearrangement. Validation samples points, so it can refute but never prove.
 
 Every aggregation is evaluated through the ``*_rows`` functions on whole
-arrays; the scalar ``eval_*`` functions are one-row wrappers over them.
+arrays, sampled validation included; the scalar ``eval_*`` functions are
+one-row wrappers over them for callers outside the package.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
 
 def eval_f(cost: CostFunction, row: Sequence[float]) -> float:
     """f(row) = g(h(row))."""
-    return eval_g(cost.transform, eval_h(cost.agg, row))
+    return float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, _one_row(row)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +325,17 @@ def eval_f(cost: CostFunction, row: Sequence[float]) -> float:
 def validate_supermodular(h2, pairs, tol: float = 1e-9):
     """Check h2(x)+h2(y) <= h2(x^y)+h2(xvy)+tol on every sampled pair of points.
 
-    ``pairs`` is an iterable of ((x1, x2), (y1, y2)). Returns (ok, violations)
-    where each violation is (x, y, excess); failure is a verdict, never an
-    exception.
+    ``pairs`` is an iterable or ``(m, 2, 2)`` array of ((x1, x2), (y1, y2)).
+    ``h2`` must accept arrays: it runs once each on all x, y, x^y and xvy.
+    Returns (ok, violations) where each violation is (x, y, excess); failure
+    is a verdict, never an exception.
     """
-    violations = []
-    for x, y in pairs:
-        x1, x2 = x
-        y1, y2 = y
-        lo = (min(x1, y1), min(x2, y2))
-        hi = (max(x1, y1), max(x2, y2))
-        excess = (h2(x1, x2) + h2(y1, y2)) - (h2(*lo) + h2(*hi))
-        if excess > tol:
-            violations.append((x, y, excess))
+    pts = np.asarray(list(pairs), dtype=float).reshape(-1, 2, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    excess = (h2(*x.T) + h2(*y.T)) - (h2(*lo.T) + h2(*hi.T))
+    bad = np.flatnonzero(excess > tol)
+    violations = [(tuple(x[k]), tuple(y[k]), float(excess[k])) for k in bad]
     return len(violations) == 0, violations
 
 
@@ -345,13 +344,18 @@ def validate_decomposition(
 ) -> bool:
     """Check h(x) == combine_i(x_i, partial_i(x_{-i})) for every i and sample.
 
-    The comparison is |difference| <= tol * (1 + |h(x)|).
+    The comparison is |difference| <= tol * (1 + |h(x)|). NaN would pass it,
+    so a non-finite h, partial or combine raises :class:`ValidationFailed`.
     """
     cols = list(np.asarray(sample, dtype=float).T)
     hx = eval_h_rows(agg, cols)
     for i in range(agg.d):
         part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
         recomposed = eval_h2_rows(agg, i, cols[i], part)
+        if not np.isfinite([hx, part, recomposed]).all():
+            raise ValidationFailed(
+                f"h, partial {i} or combine {i} returns a non-finite value on the sample"
+            )
         if np.any(np.abs(hx - recomposed) > tol * (1.0 + np.abs(hx))):
             return False
     return True
@@ -361,31 +365,17 @@ def validate_composition(cost: CostFunction, pairs, tol: float = 1e-9) -> bool:
     """Check that g o combine_i stays supermodular on the sampled pairs.
 
     A sanity check of the composition property (increasing convex g preserves
-    supermodularity of the combine), not a proof.
+    supermodularity of the combine), not a proof. The combines and g must
+    accept arrays, as in :func:`validate_supermodular`.
     """
     pairs = list(pairs)
     for i in range(cost.agg.d):
-
-        def gh2(a, b, _i=i):
-            return eval_g(cost.transform, eval_h2(cost.agg, _i, a, b))
-
-        ok, _ = validate_supermodular(gh2, pairs, tol=tol)
+        ok, _ = validate_supermodular(
+            lambda a, b: eval_g_rows(cost.transform, eval_h2_rows(cost.agg, i, a, b)),
+            pairs,
+            tol=tol,
+        )
         if not ok:
-            return False
-    return True
-
-
-def _declared_monotonicity_holds(
-    agg: AggregationSpec, sample: np.ndarray, rng: np.random.Generator, tol: float
-) -> bool:
-    steps = rng.uniform(1e-3, 1.0, size=sample.shape[0])
-    cols = list(sample.T)
-    hx = eval_h_rows(agg, cols)
-    for j in range(agg.d):
-        bumped = cols[:j] + [cols[j] + steps] + cols[j + 1 :]
-        diff = eval_h_rows(agg, bumped) - hx
-        want_up = agg.monotone_direction[j] == "increasing"
-        if np.any(diff < -tol) if want_up else np.any(diff > tol):
             return False
     return True
 
@@ -403,7 +393,8 @@ def validate_cost(
     Samples points uniformly from [low, high]^d, checks the decomposition
     identity, supermodularity of every combine, declared monotonicity, and
     supermodularity of g o combine. Raises :class:`ValidationFailed` on any
-    violated check. Built-in aggregations pass trivially.
+    violated check or non-finite value and, chained, on any error a custom
+    callable raises. Built-in aggregations pass trivially.
     """
     if cost.agg.kind != "custom":
         return replace(cost, validated=True)
@@ -411,31 +402,35 @@ def validate_cost(
     rng = np.random.default_rng(seed)
     sample = rng.uniform(low, high, size=(samples, agg.d))
     try:
-        decomposes = validate_decomposition(agg, sample, tol=tol)
-        monotone = decomposes and _declared_monotonicity_holds(agg, sample, rng, tol)
+        if not validate_decomposition(agg, sample, tol=tol):
+            raise ValidationFailed("custom aggregation fails its decomposition identity")
+        steps = rng.uniform(1e-3, 1.0, size=samples)
+        cols = list(sample.T)
+        hx = eval_h_rows(agg, cols)
+        for j, direction in enumerate(agg.monotone_direction):
+            diff = eval_h_rows(agg, cols[:j] + [cols[j] + steps] + cols[j + 1 :]) - hx
+            if np.any(diff < -tol) if direction == "increasing" else np.any(diff > tol):
+                raise ValidationFailed("custom aggregation violates its declared monotonicity")
+        half = [c[: samples // 2] for c in cols]
+        for i in range(agg.d):
+            partials = eval_partial_rows(agg, i, half[:i] + half[i + 1 :])
+            xs = rng.uniform(low, high, size=partials.size)
+            pts = np.column_stack([xs, partials])[: partials.size // 2 * 2]
+            ok, violations = validate_supermodular(
+                lambda a, b: eval_h2_rows(agg, i, a, b), pts.reshape(-1, 2, 2), tol
+            )
+            if not ok:
+                raise ValidationFailed(
+                    f"combine for coordinate {i} is not supermodular on samples: "
+                    f"first violation {violations[0]}"
+                )
+        pair_pts = rng.uniform(low, high, size=(samples // 2, 2, 2))
+        if not validate_composition(cost, pair_pts, tol=tol):
+            raise ValidationFailed("transform o combine loses supermodularity on samples")
+    except ValidationFailed:
+        raise
     except Exception as exc:
         raise ValidationFailed(
             f"custom aggregation fails on whole-array input: {exc!r}"
         ) from exc
-    if not decomposes:
-        raise ValidationFailed("custom aggregation fails its decomposition identity")
-    if not monotone:
-        raise ValidationFailed("custom aggregation violates its declared monotonicity")
-    half = list(sample[: samples // 2].T)
-    for i in range(agg.d):
-        partials = eval_partial_rows(agg, i, half[:i] + half[i + 1 :])
-        xs = rng.uniform(low, high, size=partials.size)
-        pts = list(zip(xs, partials))
-        pairs = list(zip(pts[0::2], pts[1::2]))
-        ok, violations = validate_supermodular(
-            lambda a, b, _i=i: eval_h2(agg, _i, a, b), pairs, tol=tol
-        )
-        if not ok:
-            raise ValidationFailed(
-                f"combine for coordinate {i} is not supermodular on samples: "
-                f"first violation {violations[0]}"
-            )
-    pair_pts = rng.uniform(low, high, size=(samples // 2, 2, 2))
-    if not validate_composition(cost, [tuple(map(tuple, p)) for p in pair_pts], tol=tol):
-        raise ValidationFailed("transform o combine loses supermodularity on samples")
     return replace(cost, validated=True)

@@ -1,6 +1,7 @@
 """Tests for config parsing, batch execution, and the CSV report."""
 
 import csv
+import importlib
 import io
 from pathlib import Path
 
@@ -295,3 +296,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("case,")
         assert "\nx," in out
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # perfbench/tracer.py patches each target at the name its caller looks it
+    # up under; an import dropped from a module would break tracing silently
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracer = importlib.import_module("perfbench.tracer")
+    for module, name in tracer.TARGETS:
+        assert hasattr(importlib.import_module(module), name), (module, name)

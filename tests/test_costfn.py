@@ -25,6 +25,7 @@ from rabounds import (
     validate_supermodular,
     weighted_sum,
 )
+from rabounds import costfn
 from rabounds.costfn import eval_g_rows, eval_h_rows, eval_partial_rows
 
 W523 = weighted_sum([0.5, 0.2, 0.3])
@@ -150,6 +151,26 @@ class TestSupermodular:
         x, y, excess = violations[0]
         assert excess > 0
 
+    @pytest.mark.parametrize(
+        "h2",
+        [lambda a, b: a * b, lambda a, b: -a * b, lambda a, b: np.maximum(a, b)],
+        ids=["product", "negated_product", "max"],
+    )
+    def test_matches_per_pair_reference(self, h2):
+        rng = np.random.default_rng(8)
+        pts = rng.integers(0, 4, size=(300, 2, 2)) / 4.0  # many tied coordinates
+        pairs = [(tuple(x), tuple(y)) for x, y in pts]
+        want = []
+        for x, y in pairs:
+            lo = (min(x[0], y[0]), min(x[1], y[1]))
+            hi = (max(x[0], y[0]), max(x[1], y[1]))
+            excess = (h2(*x) + h2(*y)) - (h2(*lo) + h2(*hi))
+            if excess > 1e-9:
+                want.append((x, y, excess))
+        ok, violations = validate_supermodular(h2, pairs)
+        assert (ok, violations) == (not want, want)
+        assert validate_supermodular(h2, pts) == (ok, violations)
+
 
 class TestDecomposition:
     @pytest.mark.parametrize("agg", [W523, sum_agg(4)], ids=["weighted", "sum4"])
@@ -257,6 +278,32 @@ class TestValidateCost:
         with pytest.raises(ValidationFailed) as err:
             validate_cost(CostFunction(first, identity()))
         assert isinstance(err.value.__cause__, ArityMismatch)
+
+    def test_non_finite_values_rejected(self):
+        # every comparison against NaN is False, so no sampled check trips
+        holes = custom_agg(
+            2,
+            h=lambda a, b: np.where(a < 0.3, np.nan, a + b),
+            h2=lambda x, s: np.where(x < 0.3, np.nan, x + s),
+            hd1=lambda b: b,
+            monotone_direction="increasing",
+        )
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            validate_cost(CostFunction(holes, identity()))
+
+    def test_combine_runs_once_per_coordinate_and_check(self, monkeypatch):
+        # demo 05's product: d calls for the decomposition, then 4 per
+        # coordinate for the combine and for g o combine
+        calls = []
+        rows = costfn.eval_h2_rows
+        monkeypatch.setattr(
+            costfn, "eval_h2_rows", lambda *args: calls.append(1) or rows(*args)
+        )
+        cost = validate_cost(
+            CostFunction(product_agg(), stop_loss(1.0)), low=0.8, high=1.25
+        )
+        assert cost.is_validated
+        assert len(calls) <= 9 * cost.d
 
 
 class TestAlgebraicProperties:
