@@ -11,7 +11,9 @@ Unbounded tails are truncated automatically (default: tail mass 1e-5 removed
 per unbounded side) unless the caller opts out; the applied windows are
 echoed in the result so runs are auditable. Both grid pipelines consume the
 same restart seed stream, so the reported gap reflects discretization rather
-than restart luck.
+than restart luck. For sum and weighted-sum aggregations under a built-in
+transform each side also reports its Jensen bound; a side whose best run
+reaches it is certified optimal on its grid and skips its remaining restarts.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ class BoundsResult:
     estimates on the same two grids. ``truncation_applied`` echoes the
     probability window actually used per marginal (None when untouched), with
     ``auto_truncated`` flagging the windows this call added itself.
+
+    ``bound_lower`` / ``bound_upper`` are the Jensen bounds of the two grids
+    divided by n (None for a custom aggregation or transform): no arrangement
+    of the grid goes below them. ``certified_*`` says the side's estimate is
+    the optimum of its grid, and ``restarts_run_*`` how many of the
+    ``restarts`` starts ran before that was known.
     """
 
     lower_estimate: float
@@ -61,6 +69,12 @@ class BoundsResult:
     runtime_ms_upper: int
     truncation_applied: Tuple[Optional[Tuple[float, float]], ...]
     auto_truncated: Tuple[bool, ...]
+    bound_lower: Optional[float]
+    bound_upper: Optional[float]
+    certified_lower: bool
+    certified_upper: bool
+    restarts_run_lower: int
+    restarts_run_upper: int
 
 
 def _prepare_specs(
@@ -103,9 +117,10 @@ def estimate_inf(
 
     Runs the full pipeline twice, once per quantile grid: discretize every
     marginal, start from the comonotonic arrangement, rearrange with
-    ``restarts`` seeded starting points, and scale the best objective by 1/n.
-    The bracket property needs a componentwise increasing cost; anything else
-    is rejected.
+    up to ``restarts`` seeded starting points, and scale the best objective by
+    1/n. A side stops restarting once its best run is certified optimal (see
+    :func:`rabounds.ra_core.run_ra_restarts`). The bracket property needs a
+    componentwise increasing cost; anything else is rejected.
     """
     grids, windows, auto_flags = _grid_sides(specs, cost, n, auto_truncate, tail_mass)
     if not cost.componentwise_increasing:
@@ -140,6 +155,12 @@ def estimate_inf(
         runtime_ms_upper=ms_hi,
         truncation_applied=windows,
         auto_truncated=auto_flags,
+        bound_lower=None if res_lo.bound is None else res_lo.bound / n,
+        bound_upper=None if res_hi.bound is None else res_hi.bound / n,
+        certified_lower=res_lo.certified,
+        certified_upper=res_hi.certified,
+        restarts_run_lower=res_lo.restarts_run,
+        restarts_run_upper=res_hi.restarts_run,
     )
 
 

@@ -95,6 +95,12 @@ CSV_COLUMNS = [
     "oracle_lower",
     "oracle_upper",
     "theorem_check",
+    "bound_lower",
+    "bound_upper",
+    "certified_lower",
+    "certified_upper",
+    "restarts_run_lower",
+    "restarts_run_upper",
     "error",
 ]
 
@@ -487,6 +493,12 @@ def run_cases(
                 runtime_ms_lower=str(result.runtime_ms_lower),
                 runtime_ms_upper=str(result.runtime_ms_upper),
                 truncated=_truncation_summary(result),
+                bound_lower=_fmt(result.bound_lower),
+                bound_upper=_fmt(result.bound_upper),
+                certified_lower=_fmt(result.certified_lower),
+                certified_upper=_fmt(result.certified_upper),
+                restarts_run_lower=str(result.restarts_run_lower),
+                restarts_run_upper=str(result.restarts_run_upper),
             )
             want_oracle = case.oracle or force_oracle
             within_budget = (

@@ -328,12 +328,18 @@ def validate_supermodular(h2, pairs, tol: float = 1e-9):
     ``pairs`` is an iterable or ``(m, 2, 2)`` array of ((x1, x2), (y1, y2)).
     ``h2`` must accept arrays: it runs once each on all x, y, x^y and xvy.
     Returns (ok, violations) where each violation is (x, y, excess); failure
-    is a verdict, never an exception.
+    is a verdict. A NaN excess would pass, so a non-finite ``h2`` value
+    raises :class:`ValidationFailed`.
     """
     pts = np.asarray(list(pairs), dtype=float).reshape(-1, 2, 2)
     x, y = pts[:, 0], pts[:, 1]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
-    excess = (h2(*x.T) + h2(*y.T)) - (h2(*lo.T) + h2(*hi.T))
+    values = [h2(*p.T) for p in (x, y, lo, hi)]
+    if not np.isfinite(values).all():
+        raise ValidationFailed(
+            "supermodularity check meets a non-finite value at a sampled point, meet or join"
+        )
+    excess = (values[0] + values[1]) - (values[2] + values[3])
     bad = np.flatnonzero(excess > tol)
     violations = [(tuple(x[k]), tuple(y[k]), float(excess[k])) for k in bad]
     return len(violations) == 0, violations
@@ -348,7 +354,13 @@ def validate_decomposition(
     so a non-finite h, partial or combine raises :class:`ValidationFailed`.
     """
     cols = list(np.asarray(sample, dtype=float).T)
-    hx = eval_h_rows(agg, cols)
+    return _decomposition_holds(agg, cols, eval_h_rows(agg, cols), tol)
+
+
+def _decomposition_holds(
+    agg: AggregationSpec, cols: Sequence[np.ndarray], hx: np.ndarray, tol: float
+) -> bool:
+    """:func:`validate_decomposition` on sample columns whose h is known."""
     for i in range(agg.d):
         part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
         recomposed = eval_h2_rows(agg, i, cols[i], part)
@@ -366,7 +378,8 @@ def validate_composition(cost: CostFunction, pairs, tol: float = 1e-9) -> bool:
 
     A sanity check of the composition property (increasing convex g preserves
     supermodularity of the combine), not a proof. The combines and g must
-    accept arrays, as in :func:`validate_supermodular`.
+    accept arrays, as in :func:`validate_supermodular`, and a non-finite
+    value of g o combine raises :class:`ValidationFailed`.
     """
     pairs = list(pairs)
     for i in range(cost.agg.d):
@@ -392,23 +405,30 @@ def validate_cost(
 
     Samples points uniformly from [low, high]^d, checks the decomposition
     identity, supermodularity of every combine, declared monotonicity, and
-    supermodularity of g o combine. Raises :class:`ValidationFailed` on any
-    violated check or non-finite value and, chained, on any error a custom
-    callable raises. Built-in aggregations pass trivially.
+    supermodularity of g o combine. h runs on the sample once, then once per
+    coordinate on the sample bumped in that coordinate. Raises
+    :class:`ValidationFailed` on any violated check or non-finite value at a
+    sampled or derived point and, chained, on any error a custom callable
+    raises. Built-in aggregations pass trivially.
     """
     if cost.agg.kind != "custom":
         return replace(cost, validated=True)
     agg = cost.agg
     rng = np.random.default_rng(seed)
     sample = rng.uniform(low, high, size=(samples, agg.d))
+    cols = list(sample.T)
     try:
-        if not validate_decomposition(agg, sample, tol=tol):
+        hx = eval_h_rows(agg, cols)
+        if not _decomposition_holds(agg, cols, hx, tol):
             raise ValidationFailed("custom aggregation fails its decomposition identity")
         steps = rng.uniform(1e-3, 1.0, size=samples)
-        cols = list(sample.T)
-        hx = eval_h_rows(agg, cols)
         for j, direction in enumerate(agg.monotone_direction):
-            diff = eval_h_rows(agg, cols[:j] + [cols[j] + steps] + cols[j + 1 :]) - hx
+            bumped = eval_h_rows(agg, cols[:j] + [cols[j] + steps] + cols[j + 1 :])
+            if not np.isfinite(bumped).all():
+                raise ValidationFailed(
+                    f"h returns a non-finite value when coordinate {j} is bumped"
+                )
+            diff = bumped - hx
             if np.any(diff < -tol) if direction == "increasing" else np.any(diff > tol):
                 raise ValidationFailed("custom aggregation violates its declared monotonicity")
         half = [c[: samples // 2] for c in cols]

@@ -13,11 +13,16 @@ row-aggregate vector down in the weak submajorization order, so the objective
 Matrices are immutable: operations return new matrices sharing the untouched
 column arrays. Restarts rerun the loop from deterministically shuffled
 starting arrangements and keep the best result.
+
+For sum and weighted-sum aggregations the row mean of h is the same for every
+arrangement, so by Jensen ``n * g(mean h)`` bounds every objective from below
+for the built-in convex transforms (:func:`jensen_bound`). A run that reaches
+this bound is optimal, and restarts stop once the best run is certified so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,9 +48,17 @@ __all__ = [
     "run_ra",
     "shuffle_columns",
     "run_ra_restarts",
+    "jensen_bound",
+    "CERTIFY_RTOL",
 ]
 
 DEFAULT_MAX_SWEEPS = 100
+
+# A run certifies when its objective is within CERTIFY_RTOL * (1 + |bound|)
+# of the Jensen bound. Float noise between the objective and the bound stayed
+# below 1.4e-14 relative up to d=100, while the smallest real gap seen was
+# 2.1e-8 (acceptance criterion 7's lower grid), so 1e-12 separates the two.
+CERTIFY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +128,11 @@ class RaResult:
 
     ``objective`` is the plain sum over rows (no 1/n factor); ``converged``
     means a full sweep changed no column, which certifies membership in the
-    oppositely-ordered fixed-point set.
+    oppositely-ordered fixed-point set. ``bound`` is the :func:`jensen_bound`
+    of the starting matrix (None when there is none), ``certified`` means the
+    objective reached it and so is the optimum over all arrangements (see
+    :func:`run_ra_restarts`), and ``restarts_run`` counts the starts actually
+    run; :func:`run_ra` leaves all three at their defaults.
     """
 
     matrix: ArrangementMatrix
@@ -123,6 +140,9 @@ class RaResult:
     sweeps: int
     column_rearrangements: int
     converged: bool
+    bound: Optional[float] = None
+    certified: bool = False
+    restarts_run: int = 1
 
 
 def _check_arity(X: ArrangementMatrix, d: int) -> None:
@@ -141,6 +161,22 @@ def objective(X: ArrangementMatrix, cost: CostFunction) -> float:
     if not np.isfinite(total):
         raise ValidationFailed(f"cost evaluates to a non-finite objective ({total})")
     return total
+
+
+def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
+    """Lower bound ``n * g(sum_i w_i * mean(column_i))`` on every objective.
+
+    For a (weighted) sum the row mean of h does not depend on the
+    arrangement, so Jensen's inequality for convex g bounds the sum over rows
+    of g(h) from below. Returns None for a custom aggregation, and for a
+    custom transform, whose declared convexity is never checked: for a
+    concave g the inequality reverses.
+    """
+    if cost.agg.kind == "custom" or cost.transform.form == "custom":
+        return None
+    _check_arity(X, cost.d)
+    means = [np.mean(c, keepdims=True) for c in X.columns]
+    return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
 
 
 def partial_aggregate_column(
@@ -261,19 +297,32 @@ def run_ra_restarts(
     seed: int,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> RaResult:
-    """Best result over X0 itself plus restarts-1 shuffled starting points.
+    """Best result over X0 itself plus up to restarts-1 shuffled starting points.
 
     Restart r >= 1 shuffles X0 with a seed derived from (seed, r); ties on
     the objective keep the earliest restart, so the result is deterministic.
+    Restarts stop early once the best run is certified optimal: its objective
+    is within ``CERTIFY_RTOL * (1 + |bound|)`` of :func:`jensen_bound`, so a
+    later restart could win only by float noise. The result carries that
+    bound, and ``restarts_run`` says how many starts ran.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    bound = jensen_bound(X0, cost)
+
+    def certified(res: RaResult) -> bool:
+        return bound is not None and res.objective <= bound + CERTIFY_RTOL * (1.0 + abs(bound))
+
     best = run_ra(X0, cost, max_sweeps=max_sweeps)
+    restarts_run = 1
     for r in range(1, restarts):
+        if certified(best):
+            break
         shuffle_seed = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
         candidate = run_ra(shuffle_columns(X0, shuffle_seed), cost, max_sweeps=max_sweeps)
+        restarts_run += 1
         if candidate.objective < best.objective:
             best = candidate
-    return best
+    return replace(best, bound=bound, certified=certified(best), restarts_run=restarts_run)

@@ -1,6 +1,7 @@
 """Tests for the end-to-end bracket estimation."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from rabounds import (
     exponential,
     identity,
     normal,
+    power,
     stop_loss,
     sum_agg,
     uniform,
+    validate_cost,
     weighted_sum,
 )
+from rabounds.cli import parse_config
 
+PORTFOLIO = Path(__file__).resolve().parent.parent / "demos" / "portfolio.cfg"
 LINEAR2 = CostFunction(sum_agg(2), identity())
 
 
@@ -207,3 +212,38 @@ class TestDeterminism:
             b.converged_lower,
             b.converged_upper,
         )
+
+
+class TestCertificate:
+    def test_hard_case_runs_every_restart(self):
+        # 3 exponentials under power 2: the Jensen bound sits far below the optimum
+        cost = CostFunction(sum_agg(3), power(2))
+        r = estimate_inf([exponential(1)] * 3, cost, n=500, restarts=3, seed=1)
+        assert (r.certified_lower, r.certified_upper) == (False, False)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (3, 3)
+        assert r.bound_lower < r.lower_estimate and r.bound_upper < r.upper_estimate
+
+    def test_portfolio_exponentials_certified_after_first_run(self):
+        # the case of demos/portfolio.cfg at n=1e4 instead of its n=1e5
+        config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
+        case = next(c for c in config.cases if c.case_id == "exponentials")
+        r = estimate_inf(case.specs, case.cost, n=10_000, restarts=case.restarts,
+                         seed=config.seed)
+        assert case.restarts == 3
+        assert (r.certified_lower, r.certified_upper) == (True, True)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (1, 1)
+        assert r.lower_estimate == pytest.approx(r.bound_lower, rel=1e-12)
+        assert r.upper_estimate == pytest.approx(r.bound_upper, rel=1e-12)
+
+    def test_custom_aggregation_has_no_bound(self):
+        from rabounds.costfn import custom_agg
+
+        product = custom_agg(
+            2, h=lambda a, b: a * b, h2=lambda x, s: x * s, hd1=lambda v: v,
+            monotone_direction="increasing",
+        )
+        cost = validate_cost(CostFunction(product, stop_loss(1.0)), low=0.5, high=2.0)
+        r = estimate_inf([uniform(0.5, 1), uniform(1, 2)], cost, n=50, restarts=2, seed=0)
+        assert (r.bound_lower, r.bound_upper) == (None, None)
+        assert (r.certified_lower, r.certified_upper) == (False, False)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (2, 2)

@@ -228,6 +228,34 @@ oracle = on
         rows = run_cases(parse_config(GOOD), seed_override=99)
         assert all(r["seed"] == "99" for r in rows)
 
+    def test_certificate_columns(self):
+        text = """
+[case pair]
+marginal = uniform 0 1
+marginal = uniform 0 1
+aggregation = sum
+transform = stop_loss 1
+n = 64
+restarts = 4
+
+[case hard]
+marginal = exponential 1
+marginal = exponential 1
+marginal = exponential 1
+aggregation = sum
+transform = power 2
+n = 64
+restarts = 2
+"""
+        pair, hard = run_cases(parse_config(text))
+        # uniform pair: the first run sits on the Jensen bound
+        assert (pair["certified_lower"], pair["restarts_run_lower"]) == ("true", "1")
+        assert (pair["certified_upper"], pair["restarts_run_upper"]) == ("true", "1")
+        assert (hard["certified_lower"], hard["restarts_run_lower"]) == ("false", "2")
+        assert (hard["certified_upper"], hard["restarts_run_upper"]) == ("false", "2")
+        for kind in ("lower", "upper"):
+            assert float(hard[f"bound_{kind}"]) < float(hard[kind])
+
 
 class TestCsv:
     def test_six_significant_digits(self):

@@ -305,6 +305,37 @@ class TestValidateCost:
         assert cost.is_validated
         assert len(calls) <= 9 * cost.d
 
+    @pytest.mark.parametrize(
+        "h, g",
+        [
+            # finite on the box [0, 1], NaN where the monotonicity bump leaves it
+            (lambda a, b: np.where(a > 1, np.nan, a + b), identity()),
+            # NaN where g o combine is evaluated on sums above 1.5
+            (lambda a, b: a + b, custom_transform(lambda y: np.where(y > 1.5, np.nan, y))),
+        ],
+        ids=["bumped_h", "g_of_combine"],
+    )
+    def test_non_finite_values_off_the_sample_rejected(self, h, g):
+        agg = custom_agg(
+            2, h=h, h2=lambda x, s: x + s, hd1=lambda v: v, monotone_direction="increasing"
+        )
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            validate_cost(CostFunction(agg, g))
+
+    def test_h_runs_once_plus_once_per_coordinate(self, monkeypatch):
+        # once on the sample, shared by the decomposition and the monotonicity
+        # baseline, then once per bumped coordinate
+        calls = []
+        rows = costfn.eval_h_rows
+        monkeypatch.setattr(
+            costfn, "eval_h_rows", lambda *args: calls.append(1) or rows(*args)
+        )
+        cost = validate_cost(
+            CostFunction(product_agg(), stop_loss(1.0)), low=0.8, high=1.25
+        )
+        assert cost.is_validated
+        assert len(calls) == cost.d + 1
+
 
 class TestAlgebraicProperties:
     def test_weighted_sum_linearity(self):

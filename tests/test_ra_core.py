@@ -15,6 +15,8 @@ from rabounds import (
     brute_force_min,
     compare,
     custom_transform,
+    discretize,
+    exponential,
     identity,
     is_in_opposite_set,
     is_oppositely_ordered,
@@ -27,10 +29,12 @@ from rabounds import (
     shuffle_columns,
     stop_loss,
     sum_agg,
+    uniform,
     weighted_sum,
 )
 from rabounds.costfn import custom_agg, eval_h_rows, validate_cost
-from rabounds.marginals import DiscreteMarginal
+from rabounds.marginals import DiscreteMarginal, truncate_unbounded_sides
+from rabounds.ra_core import CERTIFY_RTOL, jensen_bound
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
 W523 = weighted_sum([0.5, 0.2, 0.3])
@@ -282,3 +286,83 @@ class TestRestarts:
             run_ra_restarts(X, cost, restarts=3, seed=0)
         with pytest.raises(ValidationFailed, match="non-finite"):
             brute_force_min(matrix(*rng.uniform(size=(3, 3))), cost)
+
+
+def every_restart_min(X0, cost, restarts, seed):
+    """Minimum over all restarts, with run_ra_restarts' seed derivation."""
+    best = run_ra(X0, cost).objective
+    for r in range(1, restarts):
+        shuffle_seed = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
+        best = min(best, run_ra(shuffle_columns(X0, shuffle_seed), cost).objective)
+    return best
+
+
+def custom_sum2():
+    """x1 + x2 as a custom aggregation, which gets no certificate."""
+    return custom_agg(
+        2, h=lambda a, b: a + b, h2=lambda x, s: x + s, hd1=lambda v: v,
+        monotone_direction="increasing",
+    )
+
+
+def grid_matrix(specs, n, kind="lower"):
+    return ArrangementMatrix.comonotonic([discretize(s, n, kind) for s in specs])
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("form", ["stop_loss", "power", "identity"])
+    def test_bound_never_exceeds_exhaustive_minimum(self, form):
+        rng = np.random.default_rng({"stop_loss": 21, "power": 22, "identity": 23}[form])
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            w = rng.uniform(0.1, 1.0, size=3)
+            transform = {
+                "stop_loss": stop_loss(float(rng.uniform(0.2, 0.8) * w.sum())),
+                "power": power(float(rng.uniform(1.0, 3.0))),
+                "identity": identity(),
+            }[form]
+            cost = CostFunction(weighted_sum(w), transform)
+            X = matrix(*rng.uniform(-0.5, 1.0, size=(3, n)))
+            exact, _ = brute_force_min(X, cost)
+            assert jensen_bound(X, cost) <= exact + 1e-12 * (1.0 + abs(exact))
+
+    def test_no_bound_for_custom_aggregation(self):
+        X = matrix([1, 2, 3], [1, 2, 3])
+        assert jensen_bound(X, CostFunction(custom_sum2(), identity())) is None
+        assert jensen_bound(X, SQ_SUM) == 3 * 4.0**2
+
+    def test_no_certificate_for_custom_transform(self):
+        # sqrt is concave: every objective sits at or below n * g(mean h), so
+        # the Jensen test would pass on the first run without proving anything
+        X0 = matrix(*np.random.default_rng(9).uniform(1, 2, size=(3, 40)))
+        cost = CostFunction(sum_agg(3), custom_transform(np.sqrt))
+        assert jensen_bound(X0, cost) is None
+        res = run_ra_restarts(X0, cost, restarts=3, seed=0)
+        assert res.bound is None and not res.certified and res.restarts_run == 3
+        assert res.objective == pytest.approx(every_restart_min(X0, cost, 3, 0), rel=0)
+
+    @pytest.mark.parametrize(
+        "specs, cost, kind",
+        [
+            # the uniform portfolio of acceptance criterion 7
+            ([uniform(0, 0.4), uniform(0.1, 0.5), uniform(0, 1)],
+             CostFunction(W523, stop_loss(0.3)), "upper"),
+            ([exponential(1), exponential(2), exponential(4)],
+             CostFunction(W523, stop_loss(0.3)), "lower"),
+        ],
+    )
+    def test_skipped_restarts_cannot_improve(self, specs, cost, kind):
+        X0 = grid_matrix([truncate_unbounded_sides(s) for s in specs], 2000, kind)
+        res = run_ra_restarts(X0, cost, restarts=4, seed=7)
+        assert res.certified and res.restarts_run == 1
+        full = every_restart_min(X0, cost, restarts=4, seed=7)
+        assert abs(res.objective - full) <= CERTIFY_RTOL * (1.0 + abs(full))
+
+    def test_small_real_gap_is_not_certified(self):
+        # criterion 7's lower grid: the best run stays about 2e-6 above the bound
+        specs = [uniform(0, 0.4), uniform(0.1, 0.5), uniform(0, 1)]
+        X0 = grid_matrix(specs, 10_000)
+        cost = CostFunction(W523, stop_loss(0.3))
+        res = run_ra_restarts(X0, cost, restarts=3, seed=1)
+        assert not res.certified and res.restarts_run == 3
+        assert res.objective > jensen_bound(X0, cost) * (1 + 1e-7)
