@@ -7,8 +7,8 @@ n-point quantile grids and dividing the best objective by n. The supremum is
 estimated by the comonotonic arrangement on the same grids (it is attained
 there for supermodular costs).
 
-Unbounded tails are truncated automatically (default: tail mass 1e-5 removed
-per unbounded side) unless the caller opts out; the applied windows are
+Unbounded tails are truncated automatically (a fixed tail mass of 1e-5 is
+removed per unbounded side) unless the caller opts out; the applied windows are
 echoed in the result so runs are auditable. Both grid pipelines consume the
 same restart seed stream, so the reported gap reflects discretization rather
 than restart luck. For sum and weighted-sum aggregations under a built-in
@@ -24,12 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from .costfn import CostFunction
 from .errors import ValidationFailed
-from .marginals import (
-    DEFAULT_TAIL_MASS,
-    MarginalSpec,
-    discretize,
-    truncate_unbounded_sides,
-)
+from .marginals import MarginalSpec, discretize, truncate_unbounded_sides
 from .oracle import comonotonic_value
 from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, run_ra_restarts
 
@@ -77,13 +72,11 @@ class BoundsResult:
     restarts_run_upper: int
 
 
-def _prepare_specs(
-    specs: Sequence[MarginalSpec], auto_truncate: bool, tail_mass: float
-):
+def _prepare_specs(specs: Sequence[MarginalSpec], auto_truncate: bool):
     prepared = []
     auto_flags = []
     for spec in specs:
-        adjusted = truncate_unbounded_sides(spec, tail_mass) if auto_truncate else spec
+        adjusted = truncate_unbounded_sides(spec) if auto_truncate else spec
         prepared.append(adjusted)
         auto_flags.append(adjusted is not spec)
     windows = tuple(s.truncation for s in prepared)
@@ -91,7 +84,7 @@ def _prepare_specs(
 
 
 def _grid_sides(specs: Sequence[MarginalSpec], cost: CostFunction, n: int,
-                auto_truncate: bool, tail_mass: float):
+                auto_truncate: bool):
     """Check the arity and truncate once; return a per-side discretizer.
 
     Each side is discretized only when asked for, so a caller timing a side
@@ -99,7 +92,7 @@ def _grid_sides(specs: Sequence[MarginalSpec], cost: CostFunction, n: int,
     """
     if len(specs) != cost.d:
         raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
-    prepared, windows, auto_flags = _prepare_specs(specs, auto_truncate, tail_mass)
+    prepared, windows, auto_flags = _prepare_specs(specs, auto_truncate)
     return (lambda kind: [discretize(s, n, kind) for s in prepared]), windows, auto_flags
 
 
@@ -111,7 +104,6 @@ def estimate_inf(
     seed: int = 0,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     auto_truncate: bool = True,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> BoundsResult:
     """Bracket the worst-case (infimum) expectation of the cost.
 
@@ -122,7 +114,7 @@ def estimate_inf(
     :func:`rabounds.ra_core.run_ra_restarts`). The bracket property needs a
     componentwise increasing cost; anything else is rejected.
     """
-    grids, windows, auto_flags = _grid_sides(specs, cost, n, auto_truncate, tail_mass)
+    grids, windows, auto_flags = _grid_sides(specs, cost, n, auto_truncate)
     if not cost.componentwise_increasing:
         raise ValidationFailed(
             "bracketing requires a componentwise increasing cost"
@@ -169,14 +161,13 @@ def estimate_sup(
     cost: CostFunction,
     n: int,
     auto_truncate: bool = True,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> Tuple[float, float]:
     """Comonotonic estimates of the supremum on the lower and upper grids.
 
     Valid as a supremum only for supermodular costs (declared by construction
     for the built-in forms).
     """
-    grids, _, _ = _grid_sides(specs, cost, n, auto_truncate, tail_mass)
+    grids, _, _ = _grid_sides(specs, cost, n, auto_truncate)
     if not cost.is_validated:
         raise ValidationFailed("validate the cost before estimating the supremum")
     return comonotonic_value(grids("lower"), cost), comonotonic_value(grids("upper"), cost)

@@ -25,7 +25,7 @@ to the config file), each optionally followed by ``truncate p_lo p_hi``.
 
 One CSV row per case, in config order; a failing case carries its error
 string in the last column and does not abort the batch. Exit code is 0 iff
-no row carries an error. Identical config and seed produce identical CSV
+no row carries an error, and 2 for an invalid config or flag. Identical config and seed produce identical CSV
 except for the runtime columns.
 """
 
@@ -34,15 +34,15 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import marginals as mg
-from .bounds import _prepare_specs, estimate_inf
+from .bounds import BoundsResult, _prepare_specs, estimate_inf
 from .costfn import CostFunction, identity, power, stop_loss, sum_agg, weighted_sum
 from .errors import RaboundsError
-from .marginals import DEFAULT_TAIL_MASS, MarginalSpec, discretize
+from .marginals import MarginalSpec, discretize
 from .oracle import (
     DEFAULT_BUDGET,
     arrangement_count,
@@ -106,6 +106,11 @@ CSV_COLUMNS = [
 
 RUNTIME_COLUMNS = ("runtime_ms_lower", "runtime_ms_upper")
 
+# A report column shows the BoundsResult field of its name, or the renamed one
+# below; ``truncated`` summarises ``truncation_applied``.
+_RENAMED = {"lower": "lower_estimate", "upper": "upper_estimate"}
+_RESULT_FIELDS = {f.name for f in fields(BoundsResult)}
+
 
 @dataclass(frozen=True)
 class CaseConfig:
@@ -113,11 +118,11 @@ class CaseConfig:
     specs: Tuple[MarginalSpec, ...]
     cost: CostFunction
     n: int
-    restarts: int = 1
-    seed: Optional[int] = None  # None -> global default
-    oracle: bool = False
-    oracle_budget: int = DEFAULT_BUDGET
-    auto_truncate: bool = True
+    restarts: int
+    seed: Optional[int]  # None -> global default
+    oracle: bool
+    oracle_budget: int
+    auto_truncate: bool
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ def _parse_number(token: str, line_no: int, kind=float):
         raise ParseError(line_no, f"expected a number, got {token!r}") from None
 
 
-def _parse_flag(value: str, line_no: int) -> bool:
+def _parse_flag(value: str, line_no: int, base_dir: Path) -> bool:
     if value in ("on", "true", "1"):
         return True
     if value in ("off", "false", "0"):
@@ -156,14 +161,19 @@ def _parse_flag(value: str, line_no: int) -> bool:
     raise ParseError(line_no, f"expected on/off, got {value!r}")
 
 
-def _numeric(make_spec):
-    """Builder for a family whose parameters are all numbers."""
-    return lambda args, line_no, base_dir: make_spec(
+def _parse_count(value: str, line_no: int, base_dir: Path) -> int:
+    return _parse_number(value, line_no, int)
+
+
+def _numeric(make):
+    """Builder for a form whose parameters are all numbers."""
+    return lambda args, line_no, base_dir: make(
         *(_parse_number(a, line_no) for a in args)
     )
 
 
-# family -> (parameter count, usage message, builder(args, line_no, base_dir))
+# One table per config key that names a form (marginal family, transform):
+# name -> (parameter count, usage message, builder(args, line_no, base_dir))
 _FAMILIES = {
     "uniform": (2, "uniform needs: a b", _numeric(mg.uniform)),
     "exponential": (1, "exponential needs: rate", _numeric(mg.exponential)),
@@ -178,37 +188,45 @@ _FAMILIES = {
     ),
 }
 
+_TRANSFORMS = {
+    "identity": (0, "identity takes no parameter", _numeric(identity)),
+    "stop_loss": (1, "stop_loss needs its threshold k", _numeric(stop_loss)),
+    "power": (1, "power needs its exponent p", _numeric(power)),
+}
 
-def _parse_marginal(tokens: List[str], line_no: int, base_dir: Path) -> MarginalSpec:
-    if not tokens:
-        raise ParseError(line_no, "marginal needs a family name")
-    family, args = tokens[0], tokens[1:]
-    window = None
-    if "truncate" in args:
-        pos = args.index("truncate")
-        tail = args[pos + 1 :]
-        if len(tail) != 2:
-            raise ParseError(line_no, "truncate needs exactly p_lo and p_hi")
-        window = (
-            _parse_number(tail[0], line_no),
-            _parse_number(tail[1], line_no),
-        )
-        args = args[:pos]
-    if family not in _FAMILIES:
-        raise ParseError(line_no, f"unknown marginal family {family!r}")
-    arity, usage, build = _FAMILIES[family]
-    if len(args) != arity:
-        raise ParseError(line_no, usage)
+
+def _build(table: Dict, kind: str, tokens: List[str], line_no: int, base_dir: Path):
+    """Build the form ``tokens[0]`` of ``table`` from the remaining tokens."""
+    name, args = tokens[0], tokens[1:]
+    if name not in table:
+        raise ParseError(line_no, f"unknown {kind} {name!r}")
+    count, usage, build = table[name]
+    if len(args) != count:
+        raise ValidationError(f"line {line_no}: {usage}")
     try:
-        spec = build(args, line_no, base_dir)
+        return build(args, line_no, base_dir)
     except ValueError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
-    if window is not None:
-        try:
-            spec = mg.truncate(spec, *window)
-        except RaboundsError as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from None
-    return spec
+
+
+def _parse_marginal(value: str, line_no: int, base_dir: Path) -> MarginalSpec:
+    tokens = value.split()
+    if not tokens:
+        raise ParseError(line_no, "marginal needs a family name")
+    window = None
+    if "truncate" in tokens[1:]:
+        pos = tokens.index("truncate", 1)
+        if len(tokens) - pos != 3:
+            raise ParseError(line_no, "truncate needs exactly p_lo and p_hi")
+        window = [_parse_number(t, line_no) for t in tokens[pos + 1 :]]
+        tokens = tokens[:pos]
+    spec = _build(_FAMILIES, "marginal family", tokens, line_no, base_dir)
+    if window is None:
+        return spec
+    try:
+        return mg.truncate(spec, *window)
+    except RaboundsError as exc:
+        raise ValidationError(f"line {line_no}: {exc}") from None
 
 
 def _load_empirical(path: Path, line_no: int) -> List[float]:
@@ -230,64 +248,57 @@ def _load_empirical(path: Path, line_no: int) -> List[float]:
     return values
 
 
-def _parse_transform(tokens: List[str], line_no: int):
+def _parse_transform(value: str, line_no: int, base_dir: Path):
+    tokens = value.split()
     if not tokens:
         raise ParseError(line_no, "transform needs a form name")
-    form, args = tokens[0], tokens[1:]
-    if form == "identity":
-        if args:
-            raise ParseError(line_no, "identity takes no parameter")
-        return identity()
-    if form == "stop_loss":
-        if len(args) != 1:
-            raise ValidationError(f"line {line_no}: stop_loss needs its threshold k")
-        return stop_loss(_parse_number(args[0], line_no))
-    if form == "power":
-        if len(args) != 1:
-            raise ValidationError(f"line {line_no}: power needs its exponent p")
-        try:
-            return power(_parse_number(args[0], line_no))
-        except ValueError as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from None
-    raise ParseError(line_no, f"unknown transform {form!r}")
+    return _build(_TRANSFORMS, "transform", tokens, line_no, base_dir)
 
 
-_CASE_KEYS = (
-    "marginal",
-    "weights",
-    "aggregation",
-    "transform",
-    "n",
-    "restarts",
-    "seed",
-    "oracle",
-    "oracle_budget",
-    "auto_truncate",
-)
+# case key -> (parser(value, line_no, base_dir), default). A repeated key keeps
+# its last value, except "marginal", whose lines append in order. The keys
+# named like CaseConfig fields pass through to it unchanged.
+_CASE_KEYS = {
+    "marginal": (_parse_marginal, ()),
+    "weights": (
+        lambda value, line_no, base_dir: [_parse_number(t, line_no) for t in value.split()],
+        None,
+    ),
+    "aggregation": (lambda value, line_no, base_dir: value, None),
+    "transform": (_parse_transform, identity()),
+    "n": (_parse_count, None),
+    "restarts": (_parse_count, 1),
+    "seed": (_parse_count, None),
+    "oracle": (_parse_flag, False),
+    "oracle_budget": (_parse_count, DEFAULT_BUDGET),
+    "auto_truncate": (_parse_flag, True),
+}
 
 
-def _finish_case(raw: Dict, line_no: int) -> CaseConfig:
-    cid = raw["id"]
-    specs = raw["marginals"]
+def _finish_case(cid: str, raw: Dict) -> CaseConfig:
+    specs = raw.pop("marginal")
+    weights = raw.pop("weights")
+    aggregation = raw.pop("aggregation")
+    transform = raw.pop("transform")
     if len(specs) < 2:
         raise ValidationError(f"case {cid!r}: needs at least two marginals")
-    if raw["weights"] is not None and raw["aggregation"] is not None:
+    if weights is not None and aggregation is not None:
         raise ValidationError(f"case {cid!r}: give either weights or aggregation, not both")
-    if raw["weights"] is not None:
-        if len(raw["weights"]) != len(specs):
+    if weights is not None:
+        if len(weights) != len(specs):
             raise ValidationError(
-                f"case {cid!r}: {len(raw['weights'])} weights for {len(specs)} marginals"
+                f"case {cid!r}: {len(weights)} weights for {len(specs)} marginals"
             )
         try:
-            agg = weighted_sum(raw["weights"])
+            agg = weighted_sum(weights)
         except ValueError as exc:
             raise ValidationError(f"case {cid!r}: {exc}") from None
-    elif raw["aggregation"] == "sum":
+    elif aggregation == "sum":
         agg = sum_agg(len(specs))
-    elif raw["aggregation"] is None:
+    elif aggregation is None:
         raise ValidationError(f"case {cid!r}: needs weights or aggregation = sum")
     else:
-        raise ValidationError(f"case {cid!r}: unknown aggregation {raw['aggregation']!r}")
+        raise ValidationError(f"case {cid!r}: unknown aggregation {aggregation!r}")
     if raw["n"] is None:
         raise ValidationError(f"case {cid!r}: n is required")
     if raw["n"] < 1:
@@ -298,49 +309,22 @@ def _finish_case(raw: Dict, line_no: int) -> CaseConfig:
         raise ValidationError(f"case {cid!r}: seed must be non-negative")
     if raw["oracle_budget"] < 1:
         raise ValidationError(f"case {cid!r}: oracle_budget must be >= 1")
-    transform = raw["transform"] if raw["transform"] is not None else identity()
-    return CaseConfig(
-        case_id=cid,
-        specs=tuple(specs),
-        cost=CostFunction(agg, transform),
-        n=raw["n"],
-        restarts=raw["restarts"],
-        seed=raw["seed"],
-        oracle=raw["oracle"],
-        oracle_budget=raw["oracle_budget"],
-        auto_truncate=raw["auto_truncate"],
-    )
-
-
-def _blank_case(cid: str) -> Dict:
-    return {
-        "id": cid,
-        "marginals": [],
-        "weights": None,
-        "aggregation": None,
-        "transform": None,
-        "n": None,
-        "restarts": 1,
-        "seed": None,
-        "oracle": False,
-        "oracle_budget": DEFAULT_BUDGET,
-        "auto_truncate": True,
-    }
+    return CaseConfig(case_id=cid, specs=specs, cost=CostFunction(agg, transform), **raw)
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """Parse and validate a run configuration.
 
     Raises :class:`ParseError` for malformed lines and
-    :class:`ValidationError` for semantic problems (arity mismatches,
-    nonpositive weights, missing stop-loss threshold, ...).
+    :class:`ValidationError` for semantic problems (a wrong parameter count,
+    non-positive or non-finite weights, a missing marginal or n, ...).
     """
     base = Path(base_dir)
     global_seed = 0
     global_max_sweeps = DEFAULT_MAX_SWEEPS
     cases: List[CaseConfig] = []
-    current: Optional[Dict] = None
-    seen_ids = set()
+    cid: Optional[str] = None
+    current: Dict = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -352,19 +336,17 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             head = line[1:-1].split()
             if head[0] != "case" or len(head) != 2:
                 raise ParseError(line_no, f"case header must be [case <id>], got {line!r}")
-            if current is not None:
-                cases.append(_finish_case(current, line_no))
+            if cid is not None:
+                cases.append(_finish_case(cid, current))
+            if head[1] in (c.case_id for c in cases):
+                raise ValidationError(f"duplicate case id {head[1]!r}")
             cid = head[1]
-            if cid in seen_ids:
-                raise ValidationError(f"duplicate case id {cid!r}")
-            seen_ids.add(cid)
-            current = _blank_case(cid)
+            current = {key: default for key, (_, default) in _CASE_KEYS.items()}
             continue
         if "=" not in line:
             raise ParseError(line_no, f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        tokens = value.split()
-        if current is None:
+        if cid is None:
             if key == "seed":
                 global_seed = _parse_number(value, line_no, int)
                 if global_seed < 0:
@@ -380,29 +362,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             continue
         if key not in _CASE_KEYS:
             raise ParseError(line_no, f"unknown key {key!r}")
-        if key == "marginal":
-            current["marginals"].append(_parse_marginal(tokens, line_no, base))
-        elif key == "weights":
-            current["weights"] = [_parse_number(t, line_no) for t in tokens]
-        elif key == "aggregation":
-            current["aggregation"] = value
-        elif key == "transform":
-            current["transform"] = _parse_transform(tokens, line_no)
-        elif key == "n":
-            current["n"] = _parse_number(value, line_no, int)
-        elif key == "restarts":
-            current["restarts"] = _parse_number(value, line_no, int)
-        elif key == "seed":
-            current["seed"] = _parse_number(value, line_no, int)
-        elif key == "oracle":
-            current["oracle"] = _parse_flag(value, line_no)
-        elif key == "oracle_budget":
-            current["oracle_budget"] = _parse_number(value, line_no, int)
-        elif key == "auto_truncate":
-            current["auto_truncate"] = _parse_flag(value, line_no)
+        parsed = _CASE_KEYS[key][0](value, line_no, base)
+        current[key] = (current[key] + (parsed,)) if key == "marginal" else parsed
 
-    if current is not None:
-        cases.append(_finish_case(current, len(text.splitlines())))
+    if cid is not None:
+        cases.append(_finish_case(cid, current))
     if not cases:
         raise ParseError(0, "config declares no cases")
     return RunConfig(cases=tuple(cases), seed=global_seed, max_sweeps=global_max_sweeps)
@@ -434,7 +398,7 @@ def _oracle_check(case: CaseConfig) -> Dict[str, str]:
     """Exhaustive min per grid, plus the fixed-point-set equality verdict."""
     out = {}
     verdicts = []
-    prepared, _, _ = _prepare_specs(case.specs, case.auto_truncate, DEFAULT_TAIL_MASS)
+    prepared, _, _ = _prepare_specs(case.specs, case.auto_truncate)
     for kind, column in (("lower", "oracle_lower"), ("upper", "oracle_upper")):
         margs = [discretize(s, case.n, kind) for s in prepared]
         X = ArrangementMatrix.comonotonic(margs)
@@ -481,25 +445,11 @@ def run_cases(
                 max_sweeps=max_sweeps,
                 auto_truncate=case.auto_truncate,
             )
-            row.update(
-                lower=_fmt(result.lower_estimate),
-                upper=_fmt(result.upper_estimate),
-                sup_lower=_fmt(result.sup_lower),
-                sup_upper=_fmt(result.sup_upper),
-                sweeps_lower=str(result.sweeps_lower),
-                sweeps_upper=str(result.sweeps_upper),
-                converged_lower=_fmt(result.converged_lower),
-                converged_upper=_fmt(result.converged_upper),
-                runtime_ms_lower=str(result.runtime_ms_lower),
-                runtime_ms_upper=str(result.runtime_ms_upper),
-                truncated=_truncation_summary(result),
-                bound_lower=_fmt(result.bound_lower),
-                bound_upper=_fmt(result.bound_upper),
-                certified_lower=_fmt(result.certified_lower),
-                certified_upper=_fmt(result.certified_upper),
-                restarts_run_lower=str(result.restarts_run_lower),
-                restarts_run_upper=str(result.restarts_run_upper),
-            )
+            for col in CSV_COLUMNS:
+                field = _RENAMED.get(col, col)
+                if field in _RESULT_FIELDS:
+                    row[col] = _fmt(getattr(result, field))
+            row["truncated"] = _truncation_summary(result)
             want_oracle = case.oracle or force_oracle
             within_budget = (
                 arrangement_count(case.n, len(case.specs)) <= case.oracle_budget
@@ -548,6 +498,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.seed is not None and args.seed < 0:
         print("rabounds: --seed must be non-negative", file=sys.stderr)
+        return 2
+    if args.max_sweeps is not None and args.max_sweeps < 1:
+        print("rabounds: --max-sweeps must be >= 1", file=sys.stderr)
         return 2
 
     rows = run_cases(

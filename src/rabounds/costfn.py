@@ -94,6 +94,8 @@ def weighted_sum(weights: Sequence[float]) -> AggregationSpec:
         raise ValueError(f"aggregation arity must be >= 2, got {len(w)}")
     if any(x <= 0 for x in w):
         raise ValueError(f"weights must be strictly positive, got {w}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w}")
     return AggregationSpec(d=len(w), kind="weighted_sum", weights=w)
 
 
@@ -152,14 +154,18 @@ def identity() -> TransformSpec:
 
 
 def stop_loss(k: float) -> TransformSpec:
-    """g(x) = max(x - k, 0)."""
+    """g(x) = max(x - k, 0) with a finite k."""
+    if not np.isfinite(k):
+        raise ValueError(f"stop-loss threshold must be finite, got {k}")
     return TransformSpec("stop_loss", param=float(k))
 
 
 def power(p: float) -> TransformSpec:
-    """g(x) = max(x, 0)^p with p >= 1."""
+    """g(x) = max(x, 0)^p with a finite p >= 1."""
     if not p >= 1:
         raise ValueError(f"power exponent must be >= 1, got {p}")
+    if not np.isfinite(p):
+        raise ValueError(f"power exponent must be finite, got {p}")
     return TransformSpec("power", param=float(p))
 
 

@@ -36,11 +36,8 @@ __all__ = [
     "upper_bounded",
 ]
 
-FAMILIES = ("uniform", "exponential", "pareto", "normal", "empirical")
-
-# Default tail mass removed from each unbounded side when a caller asks for
-# automatic truncation.
-DEFAULT_TAIL_MASS = 1e-5
+# Tail mass removed from each unbounded side by automatic truncation.
+TAIL_MASS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -249,16 +246,14 @@ def upper_bounded(spec: MarginalSpec) -> bool:
     return spec.family in ("uniform", "empirical")
 
 
-def truncate_unbounded_sides(
-    spec: MarginalSpec, tail_mass: float = DEFAULT_TAIL_MASS
-) -> MarginalSpec:
-    """Apply the default truncation to whichever sides are unbounded.
+def truncate_unbounded_sides(spec: MarginalSpec) -> MarginalSpec:
+    """Remove ``TAIL_MASS`` from whichever sides are unbounded.
 
     Bounded sides keep their full range; already-truncated specs are returned
     unchanged only if both sides are finite.
     """
-    lo = 0.0 if lower_bounded(spec) else tail_mass
-    hi = 1.0 if upper_bounded(spec) else 1.0 - tail_mass
+    lo = 0.0 if lower_bounded(spec) else TAIL_MASS
+    hi = 1.0 if upper_bounded(spec) else 1.0 - TAIL_MASS
     if lo == 0.0 and hi == 1.0:
         return spec
     return truncate(spec, lo, hi)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rabounds import RaboundsError
 from rabounds.cli import (
     CSV_COLUMNS,
     RUNTIME_COLUMNS,
@@ -40,6 +41,10 @@ transform = identity
 n = 32
 oracle = off
 """
+
+
+# two uniforms summed at n = 4; a key appended to it sits on line 6
+PAIR = "[case x]\nmarginal = uniform 0 1\nmarginal = uniform 0 1\naggregation = sum\nn = 4\n"
 
 
 def rows_from_csv(text):
@@ -152,6 +157,78 @@ n = 10
         )
         with pytest.raises(ParseError):
             parse_config(text)
+
+    def test_repeated_scalar_key_keeps_last_value(self):
+        case = parse_config(PAIR + "n = 8\nrestarts = 2\nrestarts = 3\n").cases[0]
+        assert (case.n, case.restarts) == (8, 3)
+
+    def test_marginal_lines_append_in_order(self):
+        text = (
+            "[case x]\nmarginal = exponential 2\nmarginal = uniform 0 3\n"
+            "n = 4\nmarginal = pareto 1.5\naggregation = sum\n"
+        )
+        specs = parse_config(text).cases[0].specs
+        assert [(s.family, s.params) for s in specs] == [
+            ("exponential", (2.0,)),
+            ("uniform", (0.0, 3.0)),
+            ("pareto", (1.5,)),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[case x]\nmarginal = uniform 0\n", "line 2: uniform needs: a b"),
+            (PAIR + "transform = identity 1\n", "line 6: identity takes no parameter"),
+            (PAIR + "transform = power 1 2\n", "line 6: power needs its exponent p"),
+        ],
+        ids=["uniform_0", "identity_1", "power_1_2"],
+    )
+    def test_wrong_parameter_count(self, text, message):
+        with pytest.raises(RaboundsError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            (PAIR + "transform = frobnicate 2\n", 6, "unknown transform 'frobnicate'"),
+            ("[case x]\nmarginal =\n", 2, "marginal needs a family name"),
+            (PAIR + "transform =\n", 6, "transform needs a form name"),
+        ],
+        ids=["unknown_transform", "empty_marginal", "empty_transform"],
+    )
+    def test_unknown_or_empty_form(self, text, line_no, message):
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line {line_no}: {message}"
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                PAIR.replace("aggregation = sum", "weights = 0.5 nan"),
+                "case 'x': weights must be finite, got (0.5, nan)",
+            ),
+            (
+                PAIR.replace("aggregation = sum", "weights = 1 inf"),
+                "case 'x': weights must be finite, got (1.0, inf)",
+            ),
+            (
+                PAIR + "transform = stop_loss nan\n",
+                "line 6: stop-loss threshold must be finite, got nan",
+            ),
+            (
+                PAIR + "transform = power inf\n",
+                "line 6: power exponent must be finite, got inf",
+            ),
+        ],
+        ids=["weight_nan", "weight_inf", "stop_loss_nan", "power_inf"],
+    )
+    def test_non_finite_parameter_rejected(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == message
 
     def test_shipped_demo_config_parses(self):
         demo = Path(__file__).parent.parent / "demos" / "portfolio.cfg"
@@ -300,6 +377,12 @@ class TestMain:
         bad.write_text("nonsense\n")
         assert main([str(bad)]) == 2
         assert "rabounds:" in capsys.readouterr().err
+
+    def test_exit_two_on_bad_max_sweeps(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(PAIR)
+        assert main([str(cfg), "--max-sweeps", "-3"]) == 2
+        assert capsys.readouterr().err == "rabounds: --max-sweeps must be >= 1\n"
 
     def test_oracle_flag_fills_columns_within_budget(self, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"

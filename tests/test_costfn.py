@@ -120,6 +120,21 @@ class TestFactories:
         with pytest.raises(ValueError):
             power(0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: weighted_sum([0.5, math.nan]),
+            lambda: weighted_sum([1.0, math.inf]),
+            lambda: power(math.inf),
+            lambda: stop_loss(math.nan),
+            lambda: stop_loss(-math.inf),
+        ],
+        ids=["weight_nan", "weight_inf", "power_inf", "stop_loss_nan", "stop_loss_-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
 
 class TestSupermodular:
     def test_product_is_supermodular(self):
