@@ -19,10 +19,6 @@ from .costfn import (
     TransformSpec,
     custom_agg,
     custom_transform,
-    eval_g,
-    eval_h,
-    eval_h2,
-    eval_partial,
     identity,
     power,
     stop_loss,
@@ -101,10 +97,6 @@ __all__ = [
     "stop_loss",
     "power",
     "custom_transform",
-    "eval_h",
-    "eval_partial",
-    "eval_h2",
-    "eval_g",
     "validate_supermodular",
     "validate_decomposition",
     "validate_composition",

@@ -420,9 +420,14 @@ def run_cases(
     seed_override: Optional[int] = None,
     max_sweeps_override: Optional[int] = None,
 ) -> List[Dict[str, str]]:
-    """One report row per case, in config order; errors stay on their row."""
+    """One report row per case, in config order; errors stay on their row.
+
+    A ``max_sweeps_override`` below 1 raises before any case runs.
+    """
     rows = []
     max_sweeps = max_sweeps_override if max_sweeps_override is not None else config.max_sweeps
+    if max_sweeps < 1:
+        raise ValidationError("max_sweeps must be >= 1")
     for case in config.cases:
         seed = seed_override if seed_override is not None else (
             case.seed if case.seed is not None else config.seed

@@ -65,29 +65,38 @@ class MarginalSpec:
         return f"MarginalSpec({body})"
 
 
+def _check_finite(family: str, *params: float) -> None:
+    if not np.isfinite(params).all():
+        raise ValueError(f"{family} parameters must be finite, got {params}")
+
+
 def uniform(a: float, b: float) -> MarginalSpec:
-    """Uniform distribution on [a, b]; requires a < b."""
+    """Uniform distribution on [a, b] with finite a < b."""
+    _check_finite("uniform", a, b)
     if not a < b:
         raise ValueError(f"uniform requires a < b, got a={a}, b={b}")
     return MarginalSpec("uniform", (float(a), float(b)))
 
 
 def exponential(rate: float) -> MarginalSpec:
-    """Exponential distribution with the given rate (mean 1/rate)."""
+    """Exponential distribution with a finite positive rate (mean 1/rate)."""
+    _check_finite("exponential", rate)
     if not rate > 0:
         raise ValueError(f"exponential rate must be positive, got {rate}")
     return MarginalSpec("exponential", (float(rate),))
 
 
 def pareto(alpha: float) -> MarginalSpec:
-    """Pareto distribution with tail index alpha: F(x) = 1 - x^(-alpha) on [1, inf)."""
+    """Pareto with finite tail index alpha > 0: F(x) = 1 - x^(-alpha) on [1, inf)."""
+    _check_finite("pareto", alpha)
     if not alpha > 0:
         raise ValueError(f"pareto alpha must be positive, got {alpha}")
     return MarginalSpec("pareto", (float(alpha),))
 
 
 def normal(mu: float, sigma: float) -> MarginalSpec:
-    """Normal distribution with mean mu and standard deviation sigma."""
+    """Normal distribution with finite mean mu and standard deviation sigma > 0."""
+    _check_finite("normal", mu, sigma)
     if not sigma > 0:
         raise ValueError(f"normal sigma must be positive, got {sigma}")
     return MarginalSpec("normal", (float(mu), float(sigma)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
+
+# cells in one chunk's (chunk, n, n) opposite-order tensors
+_CHUNK_CELLS = 1 << 21
 
 
 def arrangement_count(n: int, d: int) -> int:
@@ -74,14 +77,14 @@ def _scan(
     cost: CostFunction,
     budget: int,
     mode: str,
-    chunk_size: Optional[int],
 ) -> Tuple[float, ArrangementMatrix]:
     """Chunked scan over every arrangement, in lexicographic order.
 
     mode is "min", "max", or "min_restricted"; returns the value and the
     first arrangement attaining it. Each chunk is a list of d ``(chunk, n)``
     blocks evaluated by the costfn row functions, so every aggregation kind
-    takes this one path.
+    takes this one path. A chunk holds ``max(1, _CHUNK_CELLS // n**2)``
+    arrangements; the result does not depend on it.
     """
     total = _check_budget(X, budget)
     n, d = X.n, X.d
@@ -90,9 +93,7 @@ def _scan(
     shape = (perms.shape[0],) * (d - 1)
     tables = [X.columns[i][perms] for i in range(1, d)]
     base = X.columns[0]
-    if chunk_size is None:
-        # the pairwise predicate builds (chunk, n, n) tensors
-        chunk_size = max(1, (1 << 21) // (n * n))
+    chunk_size = max(1, _CHUNK_CELLS // (n * n))
 
     sign = -1.0 if mode == "max" else 1.0
     best = np.inf
@@ -133,30 +134,27 @@ def brute_force_min(
     X: ArrangementMatrix,
     cost: CostFunction,
     budget: int = DEFAULT_BUDGET,
-    chunk_size: Optional[int] = None,
 ) -> Tuple[float, ArrangementMatrix]:
     """Exact global minimum of the objective over all arrangements."""
-    return _scan(X, cost, budget, "min", chunk_size)
+    return _scan(X, cost, budget, "min")
 
 
 def brute_force_max(
     X: ArrangementMatrix,
     cost: CostFunction,
     budget: int = DEFAULT_BUDGET,
-    chunk_size: Optional[int] = None,
 ) -> Tuple[float, ArrangementMatrix]:
     """Exact global maximum of the objective over all arrangements."""
-    return _scan(X, cost, budget, "max", chunk_size)
+    return _scan(X, cost, budget, "max")
 
 
 def brute_force_min_over_opposite_set(
     X: ArrangementMatrix,
     cost: CostFunction,
     budget: int = DEFAULT_BUDGET,
-    chunk_size: Optional[int] = None,
 ) -> float:
     """Minimum objective over arrangements in the oppositely-ordered set."""
-    val, _ = _scan(X, cost, budget, "min_restricted", chunk_size)
+    val, _ = _scan(X, cost, budget, "min_restricted")
     return val
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rabounds import RaboundsError
+from rabounds import RaboundsError, cli
 from rabounds.cli import (
     CSV_COLUMNS,
     RUNTIME_COLUMNS,
@@ -230,6 +230,22 @@ n = 10
             parse_config(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "marginal, message",
+        [
+            ("exponential inf", "exponential parameters must be finite, got (inf,)"),
+            ("normal nan 1", "normal parameters must be finite, got (nan, 1.0)"),
+            ("uniform -inf 0", "uniform parameters must be finite, got (-inf, 0.0)"),
+        ],
+        ids=["exponential_inf", "normal_nan", "uniform_-inf"],
+    )
+    def test_non_finite_marginal_parameter_rejected(self, marginal, message):
+        # the second marginal sits on line 3
+        text = PAIR.replace("uniform 0 1\naggregation", f"{marginal}\naggregation")
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line 3: {message}"
+
     def test_shipped_demo_config_parses(self):
         demo = Path(__file__).parent.parent / "demos" / "portfolio.cfg"
         cfg = parse_config(demo.read_text(), base_dir=demo.parent)
@@ -300,6 +316,17 @@ oracle = on
         rows = run_cases(parse_config(text))
         assert rows[0]["oracle_lower"] == ""
         assert rows[0]["error"] == ""
+
+    def test_max_sweeps_override_below_one_rejected_before_any_case(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_inf", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValidationError) as err:
+            run_cases(parse_config(PAIR), max_sweeps_override=0)
+        assert calls == []
+        # the same text as for the config's own max_sweeps key
+        with pytest.raises(ValidationError) as key_err:
+            parse_config("max_sweeps = 0\n" + PAIR)
+        assert str(err.value) == str(key_err.value) == "max_sweeps must be >= 1"
 
     def test_force_oracle_and_seed_override(self):
         rows = run_cases(parse_config(GOOD), seed_override=99)
@@ -377,6 +404,14 @@ class TestMain:
         bad.write_text("nonsense\n")
         assert main([str(bad)]) == 2
         assert "rabounds:" in capsys.readouterr().err
+
+    def test_exit_two_on_non_finite_marginal(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(PAIR.replace("uniform 0 1\naggregation", "exponential inf\naggregation"))
+        assert main([str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "rabounds: line 3: exponential parameters must be finite, got (inf,)\n"
+        )
 
     def test_exit_two_on_bad_max_sweeps(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabounds import (
     ArityMismatch,
@@ -11,10 +13,6 @@ from rabounds import (
     ValidationFailed,
     custom_agg,
     custom_transform,
-    eval_g,
-    eval_h,
-    eval_h2,
-    eval_partial,
     identity,
     power,
     stop_loss,
@@ -26,9 +24,14 @@ from rabounds import (
     weighted_sum,
 )
 from rabounds import costfn
-from rabounds.costfn import eval_g_rows, eval_h_rows, eval_partial_rows
+from rabounds.costfn import eval_g_rows, eval_h2_rows, eval_h_rows, eval_partial_rows
 
 W523 = weighted_sum([0.5, 0.2, 0.3])
+
+
+def columns(*rows):
+    """The columns of a matrix given row by row, as float arrays."""
+    return list(np.asarray(rows, dtype=float).T)
 
 
 def product_agg():
@@ -48,59 +51,99 @@ def product_agg():
 
 class TestEvaluation:
     def test_weighted_sum_of_ones(self):
-        assert eval_h(W523, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert eval_h_rows(W523, columns((1, 1, 1))) == pytest.approx([1.0], abs=1e-12)
 
     def test_weighted_sum_generic_row(self):
         # 0.5*0.1 + 0.2*0.2 + 0.3*0.3
-        assert eval_h(W523, (0.1, 0.2, 0.3)) == pytest.approx(0.18, abs=1e-12)
+        assert eval_h_rows(W523, columns((0.1, 0.2, 0.3))) == pytest.approx([0.18], abs=1e-12)
 
     def test_plain_sum(self):
-        assert eval_h(sum_agg(3), (1, 2, 3)) == 6
+        assert eval_h_rows(sum_agg(3), columns((1, 2, 3))).tolist() == [6]
 
     def test_partial_drops_one_weight(self):
         # drop the first coordinate: 0.2*0.2 + 0.3*0.3
-        assert eval_partial(W523, 0, (0.2, 0.3)) == pytest.approx(0.13, abs=1e-12)
-        assert eval_partial(sum_agg(3), 1, (1, 3)) == 4
-        assert eval_partial(W523, 2, (0, 0)) == 0
+        assert eval_partial_rows(W523, 0, columns((0.2, 0.3))) == pytest.approx(
+            [0.13], abs=1e-12
+        )
+        assert eval_partial_rows(sum_agg(3), 1, columns((1, 3))).tolist() == [4]
+        assert eval_partial_rows(W523, 2, columns((0, 0))).tolist() == [0]
 
     def test_combine_matches_full_aggregate(self):
-        partial = eval_partial(W523, 0, (0.2, 0.3))
-        assert eval_h2(W523, 0, 0.1, partial) == pytest.approx(
-            eval_h(W523, (0.1, 0.2, 0.3)), abs=1e-12
+        partial = eval_partial_rows(W523, 0, columns((0.2, 0.3)))
+        assert eval_h2_rows(W523, 0, np.array([0.1]), partial) == pytest.approx(
+            eval_h_rows(W523, columns((0.1, 0.2, 0.3))), abs=1e-12
         )
-        assert eval_h2(sum_agg(2), 0, 5, 0) == 5
-        assert eval_h2(W523, 1, 1, 1) == pytest.approx(1.2, abs=1e-12)
+        assert eval_h2_rows(sum_agg(2), 0, np.array([5.0]), np.array([0.0])).tolist() == [5]
+        assert eval_h2_rows(W523, 1, np.array([1.0]), np.array([1.0])) == pytest.approx(
+            [1.2], abs=1e-12
+        )
 
     def test_transforms(self):
-        assert eval_g(stop_loss(0.1), 0.3) == pytest.approx(0.2, abs=1e-15)
-        assert eval_g(stop_loss(0.1), 0.05) == 0.0
-        assert eval_g(identity(), -4.2) == -4.2
-        assert eval_g(power(2), 3.0) == 9.0
-        assert eval_g(power(2), -3.0) == 0.0  # applied to max(x, 0)
+        stop = eval_g_rows(stop_loss(0.1), np.array([0.3, 0.05]))
+        assert stop[0] == pytest.approx(0.2, abs=1e-15)
+        assert stop[1] == 0.0
+        assert eval_g_rows(identity(), np.array([-4.2])).tolist() == [-4.2]
+        # power applies to max(x, 0)
+        assert eval_g_rows(power(2), np.array([3.0, -3.0])).tolist() == [9.0, 0.0]
 
     def test_arity_enforced(self):
         with pytest.raises(ArityMismatch):
-            eval_h(W523, (1, 2))
+            eval_h_rows(W523, columns((1, 2)))
         with pytest.raises(ArityMismatch):
-            eval_partial(W523, 0, (1, 2, 3))
+            eval_partial_rows(W523, 0, columns((1, 2, 3)))
         with pytest.raises(IndexError):
-            eval_h2(W523, 3, 1.0, 1.0)
+            eval_h2_rows(W523, 3, np.array([1.0]), np.array([1.0]))
 
     def test_row_helpers_match_scalar_paths(self):
+        # whole columns give what each row gives on its own
         rng = np.random.default_rng(5)
         cols = [rng.normal(size=50) for _ in range(3)]
         rows_h = eval_h_rows(W523, cols)
         for k in range(50):
             assert rows_h[k] == pytest.approx(
-                eval_h(W523, [c[k] for c in cols]), rel=1e-12
+                eval_h_rows(W523, [c[k : k + 1] for c in cols])[0], rel=1e-12
             )
         part = eval_partial_rows(W523, 1, [cols[0], cols[2]])
         for k in range(50):
             assert part[k] == pytest.approx(
-                eval_partial(W523, 1, (cols[0][k], cols[2][k])), rel=1e-12
+                eval_partial_rows(W523, 1, [cols[0][k : k + 1], cols[2][k : k + 1]])[0],
+                rel=1e-12,
             )
         g = eval_g_rows(stop_loss(0.2), rows_h)
         assert np.all(g >= 0)
+
+
+def left_to_right(weights, row):
+    """Reference linear aggregate of one row: ((w0*x0 + w1*x1) + w2*x2) + ..."""
+    total = weights[0] * row[0]
+    for w, x in zip(weights[1:], row[1:]):
+        total += w * x
+    return total
+
+
+@st.composite
+def linear_rows(draw):
+    """A sum or weighted sum of arity 2..6 (weights may be exactly 1.0) and rows for it."""
+    d = draw(st.integers(2, 6))
+    weight = st.one_of(st.just(1.0), st.floats(0.1, 10.0))
+    weights = draw(st.one_of(st.none(), st.lists(weight, min_size=d, max_size=d)))
+    agg = sum_agg(d) if weights is None else weighted_sum(weights)
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+    return agg, weights or [1.0] * d, rows
+
+
+@given(linear_rows())
+@settings(max_examples=200, deadline=None)
+def test_linear_kernel_matches_left_to_right_reference(case):
+    # bit-for-bit: the kernel keeps the order of operations of a plain loop
+    agg, weights, rows = case
+    cols = columns(*rows)
+    assert eval_h_rows(agg, cols).tolist() == [left_to_right(weights, r) for r in rows]
+    for i in range(agg.d):
+        rest = weights[:i] + weights[i + 1 :]
+        want = [left_to_right(rest, r[:i] + r[i + 1 :]) for r in rows]
+        assert eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :]).tolist() == want
 
 
 class TestFactories:
@@ -358,18 +401,19 @@ class TestAlgebraicProperties:
         for _ in range(200):
             x, y = rng.normal(size=(2, 3))
             a, b = rng.normal(size=2)
-            lhs = eval_h(W523, a * x + b * y)
-            rhs = a * eval_h(W523, x) + b * eval_h(W523, y)
+            lhs = eval_h_rows(W523, columns(a * x + b * y))
+            rhs = a * eval_h_rows(W523, columns(x)) + b * eval_h_rows(W523, columns(y))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_stop_loss_convexity(self):
         rng = np.random.default_rng(9)
         g = stop_loss(0.4)
-        for _ in range(1000):
-            x, y = rng.uniform(-3, 3, size=2)
-            lam = rng.uniform()
-            mixed = eval_g(g, lam * x + (1 - lam) * y)
-            assert mixed <= lam * eval_g(g, x) + (1 - lam) * eval_g(g, y) + 1e-12
+        draws = [(rng.uniform(-3, 3, size=2), rng.uniform()) for _ in range(1000)]
+        x, y = np.array([xy for xy, _ in draws]).T
+        lam = np.array([t for _, t in draws])
+        mixed = eval_g_rows(g, lam * x + (1 - lam) * y)
+        bound = lam * eval_g_rows(g, x) + (1 - lam) * eval_g_rows(g, y) + 1e-12
+        assert np.all(mixed <= bound)
 
     def test_decomposition_identity_large_sample(self):
         rng = np.random.default_rng(10)

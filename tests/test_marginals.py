@@ -204,3 +204,27 @@ class TestFactories:
             pareto(-1)
         with pytest.raises(ValueError):
             normal(0, 0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform(-math.inf, 0),
+            lambda: uniform(0, math.nan),
+            lambda: exponential(math.inf),
+            lambda: pareto(math.inf),
+            lambda: normal(math.nan, 1),
+            lambda: normal(0, math.inf),
+        ],
+        ids=[
+            "uniform_-inf",
+            "uniform_nan",
+            "exponential_inf",
+            "pareto_inf",
+            "normal_mu_nan",
+            "normal_sigma_inf",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        # exponential(inf) and pareto(inf) would be point masses at 0 and 1
+        with pytest.raises(ValueError, match="must be finite"):
+            build()

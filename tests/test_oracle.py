@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabounds import (
     ArrangementMatrix,
@@ -25,7 +27,8 @@ from rabounds import (
     sum_agg,
     weighted_sum,
 )
-from rabounds.costfn import custom_agg, eval_f, validate_cost
+from rabounds import oracle
+from rabounds.costfn import custom_agg, eval_g_rows, eval_h_rows, validate_cost
 from rabounds.marginals import DiscreteMarginal
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
@@ -57,7 +60,8 @@ def slow_extremes(cols, cost):
         total = 0.0
         for k in range(n):
             row = [cols[0][k]] + [cols[i + 1][p[k]] for i, p in enumerate(combo)]
-            total += eval_f(cost, row)
+            h = eval_h_rows(cost.agg, [np.array([v]) for v in row])
+            total += float(eval_g_rows(cost.transform, h)[0])
         lo, hi = min(lo, total), max(hi, total)
     return lo, hi
 
@@ -86,13 +90,19 @@ class TestBruteForceMin:
         assert arrangement_count(8, 3) == err.value.required
 
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
-    def test_chunking_does_not_change_result(self, chunk):
+    def test_chunking_does_not_change_result(self, chunk, monkeypatch):
         rng = np.random.default_rng(0)
         X = matrix(*rng.uniform(size=(3, 4)))
         cost = CostFunction(weighted_sum([0.6, 0.3, 0.8]), stop_loss(0.9))
-        value, _ = brute_force_min(X, cost, chunk_size=chunk)
         baseline, _ = brute_force_min(X, cost)
+        # a chunk holds _CHUNK_CELLS // n**2 arrangements, one h call each
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk * X.n**2)
+        calls = []
+        rows = oracle.eval_h_rows
+        monkeypatch.setattr(oracle, "eval_h_rows", lambda *a: calls.append(1) or rows(*a))
+        value, _ = brute_force_min(X, cost)
         assert value == baseline
+        assert len(calls) == -(-arrangement_count(X.n, X.d) // chunk)
 
     def test_agrees_with_plain_python_enumeration(self):
         rng = np.random.default_rng(1)
@@ -257,3 +267,36 @@ class TestSupermodularExtremes:
             res = run_ra(X, cost)
             lo, _ = brute_force_min(X, cost)
             assert lo - 1e-12 <= res.objective <= objective(X, cost) + 1e-12
+
+
+@st.composite
+def tied_instances(draw):
+    """n <= 4 rows, d in {2, 3}: dyadic values and weights, so every sum is
+    exact and ties in the columns and in the partial aggregates are real."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 3]))
+    grid = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+    cols = [draw(st.lists(grid, min_size=n, max_size=n)) for _ in range(d)]
+    weights = st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=d, max_size=d)
+    agg = draw(st.one_of(st.just(sum_agg(d)), weights.map(weighted_sum)))
+    transform = draw(
+        st.one_of(
+            st.just(identity()),
+            st.sampled_from([0.5, 1.0, 2.0]).map(stop_loss),
+            st.sampled_from([1.0, 2.0, 3.0]).map(power),
+        )
+    )
+    return matrix(*cols), CostFunction(agg, transform)
+
+
+@given(tied_instances())
+@settings(max_examples=150, deadline=None)
+def test_rearrangement_agrees_with_oracle_on_ties(instance):
+    X, cost = instance
+    global_min, _ = brute_force_min(X, cost)
+    res = run_ra(X, cost)
+    assert global_min <= res.objective <= objective(X, cost)
+    if res.converged:
+        assert is_in_opposite_set(res.matrix, cost.agg)
+    restricted = brute_force_min_over_opposite_set(X, cost)
+    assert abs(restricted - global_min) <= 1e-12 * (1.0 + abs(global_min))
