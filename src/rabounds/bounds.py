@@ -30,6 +30,9 @@ from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, run_ra_restarts
 
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
+# RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper.
+_SIDE_FIELDS = ("converged", "sweeps", "certified", "restarts_run")
+
 
 @dataclass(frozen=True)
 class BoundsResult:
@@ -47,6 +50,10 @@ class BoundsResult:
     of the grid goes below them. ``certified_*`` says the side's estimate is
     the optimum of its grid, and ``restarts_run_*`` how many of the
     ``restarts`` starts ran before that was known.
+
+    Every per-side value is a ``<name>_lower`` / ``<name>_upper`` pair. The
+    ``RaResult`` values named in ``_SIDE_FIELDS`` are copied unchanged, so a
+    new one costs a name there and its two fields here.
     """
 
     lower_estimate: float
@@ -120,40 +127,18 @@ def estimate_inf(
             "bracketing requires a componentwise increasing cost"
         )
 
-    side = {}
+    fields = {"truncation_applied": windows, "auto_truncated": auto_flags}
     for kind in ("lower", "upper"):
         t0 = time.perf_counter()
         margs = grids(kind)
         start = ArrangementMatrix.comonotonic(margs)
         res = run_ra_restarts(start, cost, restarts=restarts, seed=seed, max_sweeps=max_sweeps)
-        elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-        side[kind] = (res.objective / n, res, comonotonic_value(margs, cost), elapsed_ms)
-
-    lo, res_lo, sup_lo, ms_lo = side["lower"]
-    hi, res_hi, sup_hi, ms_hi = side["upper"]
-    return BoundsResult(
-        lower_estimate=lo,
-        upper_estimate=hi,
-        sup_lower=sup_lo,
-        sup_upper=sup_hi,
-        n=n,
-        restarts=restarts,
-        seed=seed,
-        converged_lower=res_lo.converged,
-        converged_upper=res_hi.converged,
-        sweeps_lower=res_lo.sweeps,
-        sweeps_upper=res_hi.sweeps,
-        runtime_ms_lower=ms_lo,
-        runtime_ms_upper=ms_hi,
-        truncation_applied=windows,
-        auto_truncated=auto_flags,
-        bound_lower=None if res_lo.bound is None else res_lo.bound / n,
-        bound_upper=None if res_hi.bound is None else res_hi.bound / n,
-        certified_lower=res_lo.certified,
-        certified_upper=res_hi.certified,
-        restarts_run_lower=res_lo.restarts_run,
-        restarts_run_upper=res_hi.restarts_run,
-    )
+        fields[f"runtime_ms_{kind}"] = int(round((time.perf_counter() - t0) * 1000))
+        fields[f"{kind}_estimate"] = res.objective / n
+        fields[f"bound_{kind}"] = None if res.bound is None else res.bound / n
+        fields[f"sup_{kind}"] = comonotonic_value(margs, cost)
+        fields.update((f"{name}_{kind}", getattr(res, name)) for name in _SIDE_FIELDS)
+    return BoundsResult(n=n, restarts=restarts, seed=seed, **fields)
 
 
 def estimate_sup(

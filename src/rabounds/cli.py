@@ -422,12 +422,15 @@ def run_cases(
 ) -> List[Dict[str, str]]:
     """One report row per case, in config order; errors stay on their row.
 
-    A ``max_sweeps_override`` below 1 raises before any case runs.
+    A ``max_sweeps_override`` below 1 or a negative ``seed_override`` raises
+    before any case runs.
     """
     rows = []
     max_sweeps = max_sweeps_override if max_sweeps_override is not None else config.max_sweeps
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be >= 1")
+    if seed_override is not None and seed_override < 0:
+        raise ValidationError("seed must be non-negative")
     for case in config.cases:
         seed = seed_override if seed_override is not None else (
             case.seed if case.seed is not None else config.seed
@@ -455,11 +458,10 @@ def run_cases(
                 if field in _RESULT_FIELDS:
                     row[col] = _fmt(getattr(result, field))
             row["truncated"] = _truncation_summary(result)
-            want_oracle = case.oracle or force_oracle
-            within_budget = (
+            # (n!)^(d-1) costs seconds at n=1e5, so count only when asked to check
+            if (case.oracle or force_oracle) and (
                 arrangement_count(case.n, len(case.specs)) <= case.oracle_budget
-            )
-            if want_oracle and within_budget:
+            ):
                 row.update(_oracle_check(case))
         except RaboundsError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

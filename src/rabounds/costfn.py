@@ -279,9 +279,12 @@ def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
 # sampled validation
 # ---------------------------------------------------------------------------
 
+# Tolerance of every sampled check except an explicit validate_decomposition tol.
+_TOL = 1e-9
 
-def validate_supermodular(h2, pairs, tol: float = 1e-9):
-    """Check h2(x)+h2(y) <= h2(x^y)+h2(xvy)+tol on every sampled pair of points.
+
+def validate_supermodular(h2, pairs):
+    """Check h2(x)+h2(y) <= h2(x^y)+h2(xvy)+1e-9 on every sampled pair of points.
 
     ``pairs`` is an iterable or ``(m, 2, 2)`` array of ((x1, x2), (y1, y2)).
     ``h2`` must accept arrays: it runs once each on all x, y, x^y and xvy.
@@ -298,13 +301,13 @@ def validate_supermodular(h2, pairs, tol: float = 1e-9):
             "supermodularity check meets a non-finite value at a sampled point, meet or join"
         )
     excess = (values[0] + values[1]) - (values[2] + values[3])
-    bad = np.flatnonzero(excess > tol)
+    bad = np.flatnonzero(excess > _TOL)
     violations = [(tuple(x[k]), tuple(y[k]), float(excess[k])) for k in bad]
     return len(violations) == 0, violations
 
 
 def validate_decomposition(
-    agg: AggregationSpec, sample: Sequence[Sequence[float]], tol: float = 1e-9
+    agg: AggregationSpec, sample: Sequence[Sequence[float]], tol: float = _TOL
 ) -> bool:
     """Check h(x) == combine_i(x_i, partial_i(x_{-i})) for every i and sample.
 
@@ -331,8 +334,8 @@ def _decomposition_holds(
     return True
 
 
-def validate_composition(cost: CostFunction, pairs, tol: float = 1e-9) -> bool:
-    """Check that g o combine_i stays supermodular on the sampled pairs.
+def validate_composition(cost: CostFunction, pairs) -> bool:
+    """Check that g o combine_i stays supermodular on the sampled pairs, up to 1e-9.
 
     A sanity check of the composition property (increasing convex g preserves
     supermodularity of the combine), not a proof. The combines and g must
@@ -344,7 +347,6 @@ def validate_composition(cost: CostFunction, pairs, tol: float = 1e-9) -> bool:
         ok, _ = validate_supermodular(
             lambda a, b: eval_g_rows(cost.transform, eval_h2_rows(cost.agg, i, a, b)),
             pairs,
-            tol=tol,
         )
         if not ok:
             return False
@@ -366,13 +368,13 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
     if cost.agg.kind != "custom":
         return replace(cost, validated=True)
     agg = cost.agg
-    samples, tol = 200, 1e-9
+    samples = 200
     rng = np.random.default_rng(0)
     sample = rng.uniform(low, high, size=(samples, agg.d))
     cols = list(sample.T)
     try:
         hx = eval_h_rows(agg, cols)
-        if not _decomposition_holds(agg, cols, hx, tol):
+        if not _decomposition_holds(agg, cols, hx, _TOL):
             raise ValidationFailed("custom aggregation fails its decomposition identity")
         steps = rng.uniform(1e-3, 1.0, size=samples)
         for j, direction in enumerate(agg.monotone_direction):
@@ -382,7 +384,7 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
                     f"h returns a non-finite value when coordinate {j} is bumped"
                 )
             diff = bumped - hx
-            if np.any(diff < -tol) if direction == "increasing" else np.any(diff > tol):
+            if np.any(diff < -_TOL) if direction == "increasing" else np.any(diff > _TOL):
                 raise ValidationFailed("custom aggregation violates its declared monotonicity")
         half = [c[: samples // 2] for c in cols]
         for i in range(agg.d):
@@ -390,7 +392,7 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
             xs = rng.uniform(low, high, size=partials.size)
             pts = np.column_stack([xs, partials])[: partials.size // 2 * 2]
             ok, violations = validate_supermodular(
-                lambda a, b: eval_h2_rows(agg, i, a, b), pts.reshape(-1, 2, 2), tol
+                lambda a, b: eval_h2_rows(agg, i, a, b), pts.reshape(-1, 2, 2)
             )
             if not ok:
                 raise ValidationFailed(
@@ -398,7 +400,7 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
                     f"first violation {violations[0]}"
                 )
         pair_pts = rng.uniform(low, high, size=(samples // 2, 2, 2))
-        if not validate_composition(cost, pair_pts, tol=tol):
+        if not validate_composition(cost, pair_pts):
             raise ValidationFailed("transform o combine loses supermodularity on samples")
     except ValidationFailed:
         raise

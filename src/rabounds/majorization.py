@@ -35,7 +35,7 @@ __all__ = [
     "is_oppositely_ordered",
 ]
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 
 
 class Order(Enum):
@@ -93,11 +93,11 @@ def sort_asc(x) -> np.ndarray:
     return np.sort(np.asarray(x, dtype=float))
 
 
-def compare(x, y, tol: float = DEFAULT_TOL) -> OrderRelation:
+def compare(x, y) -> OrderRelation:
     """Strongest majorization-type order holding between x and y.
 
-    Every prefix-sum comparison uses the absolute tolerance ``tol``; the
-    majorized verdict additionally requires total sums equal within ``tol``.
+    Every prefix-sum comparison uses the absolute tolerance ``TOL``; the
+    majorized verdict additionally requires total sums equal within ``TOL``.
     Incomparable is a valid verdict, not an error.
     """
     x = np.asarray(x, dtype=float)
@@ -109,11 +109,11 @@ def compare(x, y, tol: float = DEFAULT_TOL) -> OrderRelation:
     apx, apy = np.cumsum(xd[::-1]), np.cumsum(yd[::-1])
     rel = lambda v: OrderRelation(v, dpx, dpy, apx, apy)  # noqa: E731
 
-    if np.all(np.abs(xd - yd) <= tol):
+    if np.all(np.abs(xd - yd) <= TOL):
         return rel(Order.PERMUTATION)
-    sub = bool(np.all(dpx <= dpy + tol))
-    sup = bool(np.all(apx >= apy - tol))
-    totals_equal = x.size == 0 or abs(dpx[-1] - dpy[-1]) <= tol
+    sub = bool(np.all(dpx <= dpy + TOL))
+    sup = bool(np.all(apx >= apy - TOL))
+    totals_equal = x.size == 0 or abs(dpx[-1] - dpy[-1]) <= TOL
     if sub and totals_equal:
         return rel(Order.MAJORIZED)
     if sub:

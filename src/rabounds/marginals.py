@@ -117,28 +117,26 @@ def empirical(values: Sequence[float]) -> MarginalSpec:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMarginal:
-    """n values of equal probability 1/n, sorted ascending and finite.
+    """Values of equal probability 1/n, sorted ascending and finite.
 
-    ``kind`` records which quantile grid produced the values: "lower" for the
-    grid k/n with k = 0..n-1, "upper" for k = 1..n, or "exact" for values not
-    obtained by discretizing a continuous spec.
+    Only ``values`` is stored; ``n`` is its length. The vector may be empty.
     """
 
-    n: int
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values, got shape {v.shape}")
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D value vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("discrete marginal values must all be finite")
         if v.size > 1 and np.any(np.diff(v) < 0):
             raise ValueError("discrete marginal values must be sorted ascending")
-        if self.kind not in ("lower", "upper", "exact"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "values", v)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
 
 def _base_quantile(spec: MarginalSpec, p: np.ndarray) -> np.ndarray:
@@ -238,7 +236,7 @@ def discretize(spec: MarginalSpec, n: int, kind: str) -> DiscreteMarginal:
         raise NonFiniteQuantile(
             f"{kind} discretization of {spec!r} hits an infinite quantile at p={bad}"
         )
-    return DiscreteMarginal(n=n, values=q, kind=kind)
+    return DiscreteMarginal(q)
 
 
 def lower_bounded(spec: MarginalSpec) -> bool:

@@ -103,9 +103,7 @@ class ArrangementMatrix:
     def from_columns(cls, columns: Sequence[Sequence[float]]) -> "ArrangementMatrix":
         """Wrap raw value columns; provenance becomes their sorted multisets."""
         cols = tuple(np.asarray(c, dtype=float) for c in columns)
-        prov = tuple(
-            DiscreteMarginal(n=c.size, values=np.sort(c), kind="exact") for c in cols
-        )
+        prov = tuple(DiscreteMarginal(np.sort(c)) for c in cols)
         return cls(cols, prov)
 
     def with_column(self, i: int, column: np.ndarray) -> "ArrangementMatrix":

@@ -247,3 +247,51 @@ class TestCertificate:
         assert (r.bound_lower, r.bound_upper) == (None, None)
         assert (r.certified_lower, r.certified_upper) == (False, False)
         assert (r.restarts_run_lower, r.restarts_run_upper) == (2, 2)
+
+
+def _portfolio_exponentials():
+    config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
+    case = next(c for c in config.cases if c.case_id == "exponentials")
+    return case.specs, case.cost, 2000, case.restarts, config.seed
+
+
+def _custom_product():
+    from rabounds.costfn import custom_agg
+
+    product = custom_agg(
+        2, h=lambda a, b: a * b, h2=lambda x, s: x * s, hd1=lambda v: v,
+        monotone_direction="increasing",
+    )
+    cost = validate_cost(CostFunction(product, stop_loss(1.0)), low=0.5, high=2.0)
+    return [uniform(0.5, 1), uniform(1, 2)], cost, 50, 2, 0
+
+
+class TestPerSideCopy:
+    """Each side of the result is its grid's RaResult, rebuilt here by hand."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _portfolio_exponentials,
+            lambda: ([exponential(1)] * 3, CostFunction(sum_agg(3), power(2)), 200, 3, 1),
+            _custom_product,
+        ],
+        ids=["portfolio_exponentials_certified", "exp1_power2_uncertified", "custom_product"],
+    )
+    def test_fields_match_a_hand_built_run_per_side(self, build):
+        from rabounds.marginals import truncate_unbounded_sides
+        from rabounds.oracle import comonotonic_value
+        from rabounds.ra_core import run_ra_restarts
+
+        specs, cost, n, restarts, seed = build()
+        r = estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
+        for kind in ("lower", "upper"):
+            margs = [discretize(truncate_unbounded_sides(s), n, kind) for s in specs]
+            res = run_ra_restarts(
+                ArrangementMatrix.comonotonic(margs), cost, restarts=restarts, seed=seed
+            )
+            assert getattr(r, f"{kind}_estimate") == res.objective / n
+            assert getattr(r, f"bound_{kind}") == (None if res.bound is None else res.bound / n)
+            assert getattr(r, f"sup_{kind}") == comonotonic_value(margs, cost)
+            for name in ("converged", "sweeps", "certified", "restarts_run"):
+                assert getattr(r, f"{name}_{kind}") == getattr(res, name)

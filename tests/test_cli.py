@@ -328,6 +328,24 @@ oracle = on
             parse_config("max_sweeps = 0\n" + PAIR)
         assert str(err.value) == str(key_err.value) == "max_sweeps must be >= 1"
 
+    def test_negative_seed_override_rejected_before_any_case(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_inf", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            run_cases(parse_config(PAIR), seed_override=-1)
+        assert calls == []
+
+    def test_arrangement_count_only_when_the_oracle_is_on(self, monkeypatch):
+        counted = []
+        real = cli.arrangement_count
+        monkeypatch.setattr(
+            cli, "arrangement_count", lambda n, d: counted.append((n, d)) or real(n, d)
+        )
+        rows = run_cases(parse_config(PAIR + "oracle = off\n"))
+        assert counted == [] and rows[0]["error"] == ""
+        rows = run_cases(parse_config(PAIR + "oracle = off\n"), force_oracle=True)
+        assert counted == [(4, 2)] and rows[0]["oracle_lower"] != ""
+
     def test_force_oracle_and_seed_override(self):
         rows = run_cases(parse_config(GOOD), seed_override=99)
         assert all(r["seed"] == "99" for r in rows)

@@ -187,11 +187,9 @@ class TestDiscretize:
 class TestDiscreteMarginal:
     def test_rejects_unsorted_and_nonfinite(self):
         with pytest.raises(ValueError):
-            DiscreteMarginal(3, np.array([1.0, 0.5, 2.0]), "exact")
+            DiscreteMarginal(np.array([1.0, 0.5, 2.0]))
         with pytest.raises(ValueError):
-            DiscreteMarginal(2, np.array([1.0, np.inf]), "exact")
-        with pytest.raises(ValueError):
-            DiscreteMarginal(2, np.array([1.0, 2.0]), "whatever")
+            DiscreteMarginal(np.array([1.0, np.inf]))
 
 
 class TestFactories:

@@ -209,15 +209,15 @@ class TestRestrictedMin:
 class TestComonotonic:
     def test_square_sum_value(self):
         margs = [
-            DiscreteMarginal(3, np.array([1.0, 2.0, 3.0]), "exact"),
-            DiscreteMarginal(3, np.array([1.0, 2.0, 3.0]), "exact"),
+            DiscreteMarginal(np.array([1.0, 2.0, 3.0])),
+            DiscreteMarginal(np.array([1.0, 2.0, 3.0])),
         ]
         assert comonotonic_value(margs, SQ_SUM) == pytest.approx(56 / 3, rel=1e-12)
 
     def test_linear_cost_matches_mean_of_sums(self):
         rng = np.random.default_rng(5)
         vals = [np.sort(rng.uniform(size=6)) for _ in range(2)]
-        margs = [DiscreteMarginal(6, v, "exact") for v in vals]
+        margs = [DiscreteMarginal(v) for v in vals]
         cost = CostFunction(sum_agg(2), identity())
         assert comonotonic_value(margs, cost) == pytest.approx(
             float(np.mean(vals[0] + vals[1])), rel=1e-12
@@ -225,17 +225,17 @@ class TestComonotonic:
 
     def test_constant_marginals(self):
         margs = [
-            DiscreteMarginal(4, np.full(4, 2.0), "exact"),
-            DiscreteMarginal(4, np.full(4, 3.0), "exact"),
-            DiscreteMarginal(4, np.full(4, 4.0), "exact"),
+            DiscreteMarginal(np.full(4, 2.0)),
+            DiscreteMarginal(np.full(4, 3.0)),
+            DiscreteMarginal(np.full(4, 4.0)),
         ]
         cost = CostFunction(sum_agg(3), stop_loss(5))
         assert comonotonic_value(margs, cost) == pytest.approx(4.0, rel=1e-12)
 
     def test_unequal_lengths_rejected(self):
         margs = [
-            DiscreteMarginal(2, np.array([0.0, 1.0]), "exact"),
-            DiscreteMarginal(3, np.array([0.0, 0.5, 1.0]), "exact"),
+            DiscreteMarginal(np.array([0.0, 1.0])),
+            DiscreteMarginal(np.array([0.0, 0.5, 1.0])),
         ]
         with pytest.raises(LengthMismatch):
             comonotonic_value(margs, SQ_SUM)
@@ -248,7 +248,7 @@ class TestSupermodularExtremes:
             n = int(rng.integers(2, 6))
             d = int(rng.integers(2, 4))
             vals = [np.sort(rng.uniform(0, 1, size=n)) for _ in range(d)]
-            margs = [DiscreteMarginal(n, v, "exact") for v in vals]
+            margs = [DiscreteMarginal(v) for v in vals]
             cost = CostFunction(
                 weighted_sum(rng.uniform(0.2, 1, size=d)),
                 stop_loss(float(rng.uniform(0, 1))),

@@ -52,8 +52,8 @@ class TestArrangementMatrix:
 
     def test_comonotonic_start(self):
         margs = [
-            DiscreteMarginal(3, np.array([1.0, 2.0, 3.0]), "exact"),
-            DiscreteMarginal(3, np.array([0.0, 5.0, 9.0]), "exact"),
+            DiscreteMarginal(np.array([1.0, 2.0, 3.0])),
+            DiscreteMarginal(np.array([0.0, 5.0, 9.0])),
         ]
         X = ArrangementMatrix.comonotonic(margs)
         assert np.array_equal(X.row(0), [1.0, 0.0])
