@@ -39,7 +39,7 @@ for name, specs in portfolios.items():
         print(f"  unbounded tails auto-truncated onto {windows[0]}")
     print(f"  runtime {elapsed:.1f}s "
           f"(sweeps {r.sweeps_lower}/{r.sweeps_upper}, "
-          f"converged {r.converged_lower}/{r.converged_upper})\n")
+          f"stopped at {r.stop_reason_lower}/{r.stop_reason_upper})\n")
 
 # Sanity anchor: whenever the rearranged portfolio return can be flattened to
 # a near-constant above k, the worst case collapses to E[return] - k by

@@ -13,7 +13,8 @@ echoed in the result so runs are auditable. Both grid pipelines consume the
 same restart seed stream, so the reported gap reflects discretization rather
 than restart luck. For sum and weighted-sum aggregations under a built-in
 transform each side also reports its Jensen bound; a side whose best run
-reaches it is certified optimal on its grid and skips its remaining restarts.
+reaches it is certified optimal on its grid: the run stops at that sweep and
+the side skips its remaining restarts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, run_ra_restarts
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
 # RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper.
-_SIDE_FIELDS = ("converged", "sweeps", "certified", "restarts_run")
+_SIDE_FIELDS = (
+    "converged", "sweeps", "certified", "restarts_run", "stop_reason", "sweeps_total",
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,12 @@ class BoundsResult:
     of the grid goes below them. ``certified_*`` says the side's estimate is
     the optimum of its grid, and ``restarts_run_*`` how many of the
     ``restarts`` starts ran before that was known.
+
+    ``sweeps_*``, ``converged_*`` and ``stop_reason_*`` describe the winning
+    run: ``stop_reason_*`` is ``"fixed_point"`` (then ``converged_*`` is
+    true), ``"certified"`` (the run stopped on the bound; ``converged_*`` is
+    false, yet the estimate is the grid optimum) or ``"max_sweeps"``.
+    ``sweeps_total_*`` sums the sweeps of every start the side ran.
 
     Every per-side value is a ``<name>_lower`` / ``<name>_upper`` pair. The
     ``RaResult`` values named in ``_SIDE_FIELDS`` are copied unchanged, so a
@@ -77,6 +86,10 @@ class BoundsResult:
     certified_upper: bool
     restarts_run_lower: int
     restarts_run_upper: int
+    stop_reason_lower: str
+    stop_reason_upper: str
+    sweeps_total_lower: int
+    sweeps_total_upper: int
 
 
 def _prepare_specs(specs: Sequence[MarginalSpec], auto_truncate: bool):

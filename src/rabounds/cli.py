@@ -101,6 +101,10 @@ CSV_COLUMNS = [
     "certified_upper",
     "restarts_run_lower",
     "restarts_run_upper",
+    "stop_reason_lower",
+    "stop_reason_upper",
+    "sweeps_total_lower",
+    "sweeps_total_upper",
     "error",
 ]
 

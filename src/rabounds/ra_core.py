@@ -17,7 +17,9 @@ starting arrangements and keep the best result.
 For sum and weighted-sum aggregations the row mean of h is the same for every
 arrangement, so by Jensen ``n * g(mean h)`` bounds every objective from below
 for the built-in convex transforms (:func:`jensen_bound`). A run that reaches
-this bound is optimal, and restarts stop once the best run is certified so.
+this bound is optimal: given the bound, a run stops after the first sweep
+whose objective certifies, and restarts stop once the best run is certified.
+Every run records why it stopped (``RaResult.stop_reason``).
 """
 
 from __future__ import annotations
@@ -126,11 +128,18 @@ class RaResult:
 
     ``objective`` is the plain sum over rows (no 1/n factor); ``converged``
     means a full sweep changed no column, which certifies membership in the
-    oppositely-ordered fixed-point set. ``bound`` is the :func:`jensen_bound`
-    of the starting matrix (None when there is none), ``certified`` means the
-    objective reached it and so is the optimum over all arrangements (see
-    :func:`run_ra_restarts`), and ``restarts_run`` counts the starts actually
-    run; :func:`run_ra` leaves all three at their defaults.
+    oppositely-ordered fixed-point set. ``stop_reason`` says why the run
+    ended: ``"fixed_point"`` (``converged``), ``"certified"`` (the objective
+    reached the bound the run was given, so the run is optimal although not
+    a fixed point) or ``"max_sweeps"`` (the sweep limit cut it).
+    ``sweeps_total`` sums the sweeps of every start that ran, ``sweeps``
+    those of the returned run alone.
+
+    ``bound`` is the :func:`jensen_bound` of the starting matrix (None when
+    there is none), ``certified`` means the objective reached it and so is
+    the optimum over all arrangements, and ``restarts_run`` counts the starts
+    actually run; :func:`run_ra_restarts` fills these three and
+    :func:`run_ra` leaves them at their defaults.
     """
 
     matrix: ArrangementMatrix
@@ -138,6 +147,8 @@ class RaResult:
     sweeps: int
     column_rearrangements: int
     converged: bool
+    stop_reason: str
+    sweeps_total: int
     bound: Optional[float] = None
     certified: bool = False
     restarts_run: int = 1
@@ -159,6 +170,11 @@ def objective(X: ArrangementMatrix, cost: CostFunction) -> float:
     if not np.isfinite(total):
         raise ValidationFailed(f"cost evaluates to a non-finite objective ({total})")
     return total
+
+
+def _certifies(value: float, bound: Optional[float]) -> bool:
+    """True when ``value`` sits within the certification tolerance of ``bound``."""
+    return bound is not None and value <= bound + CERTIFY_RTOL * (1.0 + abs(bound))
 
 
 def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
@@ -227,13 +243,23 @@ def is_in_opposite_set(X: ArrangementMatrix, agg: AggregationSpec) -> bool:
 
 
 def run_ra(
-    X0: ArrangementMatrix, cost: CostFunction, max_sweeps: int = DEFAULT_MAX_SWEEPS
+    X0: ArrangementMatrix,
+    cost: CostFunction,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    bound: Optional[float] = None,
 ) -> RaResult:
     """Sweep columns cyclically until a full sweep changes nothing.
 
     Termination is guaranteed in exact arithmetic; under floating point the
-    ``max_sweeps`` guard reports converged=False instead of looping. Raises
-    :class:`ValidationFailed` when given an unvalidated custom cost.
+    ``max_sweeps`` guard reports converged=False instead of looping. Given a
+    lower ``bound`` on every objective (such as :func:`jensen_bound`), the
+    objective is evaluated after each sweep that moved a column, and the run
+    stops as soon as it is within ``CERTIFY_RTOL * (1 + |bound|)`` of the
+    bound; the last of these values is the reported objective. After each
+    sweep the stop reasons are checked in the order ``"fixed_point"``,
+    ``"certified"``, ``"max_sweeps"``. Without a bound the objective is
+    evaluated once, at the end. Raises :class:`ValidationFailed` when given
+    an unvalidated custom cost.
     """
     if not cost.is_validated:
         raise ValidationFailed(
@@ -247,7 +273,8 @@ def run_ra(
     sorted_cols = [np.sort(c) for c in cols]
     sweeps = 0
     rearrangements = 0
-    converged = False
+    stop_reason = "max_sweeps"
+    value = None  # objective of cols, once evaluated
     for _ in range(max_sweeps):
         sweeps += 1
         changed = False
@@ -261,15 +288,22 @@ def run_ra(
             changed = True
             rearrangements += 1
         if not changed:
-            converged = True
+            stop_reason = "fixed_point"
             break
+        if bound is not None:
+            value = objective(ArrangementMatrix(tuple(cols), X0.provenance), cost)
+            if _certifies(value, bound):
+                stop_reason = "certified"
+                break
     result = ArrangementMatrix(tuple(cols), X0.provenance)
     return RaResult(
         matrix=result,
-        objective=objective(result, cost),
+        objective=objective(result, cost) if value is None else value,
         sweeps=sweeps,
         column_rearrangements=rearrangements,
-        converged=converged,
+        converged=stop_reason == "fixed_point",
+        stop_reason=stop_reason,
+        sweeps_total=sweeps,
     )
 
 
@@ -299,28 +333,37 @@ def run_ra_restarts(
 
     Restart r >= 1 shuffles X0 with a seed derived from (seed, r); ties on
     the objective keep the earliest restart, so the result is deterministic.
-    Restarts stop early once the best run is certified optimal: its objective
-    is within ``CERTIFY_RTOL * (1 + |bound|)`` of :func:`jensen_bound`, so a
-    later restart could win only by float noise. The result carries that
-    bound, and ``restarts_run`` says how many starts ran.
+    Every start is given :func:`jensen_bound`, computed once, so each run
+    stops at its first certified sweep (see :func:`run_ra`). Restarts stop
+    early once the best run is certified optimal: its objective is within
+    ``CERTIFY_RTOL * (1 + |bound|)`` of the bound, so a later restart could
+    win only by float noise. The result carries that bound;
+    ``restarts_run`` says how many starts ran and ``sweeps_total`` how many
+    sweeps they took together.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     bound = jensen_bound(X0, cost)
-
-    def certified(res: RaResult) -> bool:
-        return bound is not None and res.objective <= bound + CERTIFY_RTOL * (1.0 + abs(bound))
-
-    best = run_ra(X0, cost, max_sweeps=max_sweeps)
+    best = run_ra(X0, cost, max_sweeps=max_sweeps, bound=bound)
     restarts_run = 1
+    sweeps_total = best.sweeps
     for r in range(1, restarts):
-        if certified(best):
+        if _certifies(best.objective, bound):
             break
         shuffle_seed = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
-        candidate = run_ra(shuffle_columns(X0, shuffle_seed), cost, max_sweeps=max_sweeps)
+        candidate = run_ra(
+            shuffle_columns(X0, shuffle_seed), cost, max_sweeps=max_sweeps, bound=bound
+        )
         restarts_run += 1
+        sweeps_total += candidate.sweeps
         if candidate.objective < best.objective:
             best = candidate
-    return replace(best, bound=bound, certified=certified(best), restarts_run=restarts_run)
+    return replace(
+        best,
+        bound=bound,
+        certified=_certifies(best.objective, bound),
+        restarts_run=restarts_run,
+        sweeps_total=sweeps_total,
+    )

@@ -378,6 +378,41 @@ restarts = 2
         for kind in ("lower", "upper"):
             assert float(hard[f"bound_{kind}"]) < float(hard[kind])
 
+    def test_stop_reason_and_total_sweeps_columns(self):
+        # one sweep certifies the exponential portfolio but not the squared sum
+        text = """
+max_sweeps = 1
+
+[case certified]
+marginal = exponential 1
+marginal = exponential 2
+marginal = exponential 4
+weights = 0.5 0.2 0.3
+transform = stop_loss 0.3
+n = 500
+restarts = 2
+
+[case cut]
+marginal = exponential 1
+marginal = exponential 1
+marginal = exponential 1
+aggregation = sum
+transform = power 2
+n = 500
+restarts = 2
+"""
+        certified, cut = rows_from_csv(render(run_cases(parse_config(text))))
+        for kind in ("lower", "upper"):
+            assert certified[f"stop_reason_{kind}"] == "certified"
+            assert certified[f"certified_{kind}"] == "true"
+            assert certified[f"converged_{kind}"] == "false"
+            assert certified[f"sweeps_total_{kind}"] == "1"
+            assert cut[f"stop_reason_{kind}"] == "max_sweeps"
+            assert cut[f"certified_{kind}"] == "false"
+            assert cut[f"sweeps_total_{kind}"] == "2"
+            for row in (certified, cut):
+                assert int(row[f"sweeps_total_{kind}"]) >= int(row[f"sweeps_{kind}"])
+
 
 class TestCsv:
     def test_six_significant_digits(self):

@@ -1,6 +1,7 @@
 """Tests for arrangement matrices and the rearrangement loop."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from rabounds import (
     uniform,
     weighted_sum,
 )
+from rabounds import ra_core
+from rabounds.cli import parse_config
 from rabounds.costfn import custom_agg, eval_h_rows, validate_cost
 from rabounds.marginals import DiscreteMarginal, truncate_unbounded_sides
 from rabounds.ra_core import CERTIFY_RTOL, jensen_bound
@@ -366,3 +369,105 @@ class TestCertificate:
         res = run_ra_restarts(X0, cost, restarts=3, seed=1)
         assert not res.certified and res.restarts_run == 3
         assert res.objective > jensen_bound(X0, cost) * (1 + 1e-7)
+
+
+PORTFOLIO = Path(__file__).resolve().parents[1] / "demos" / "portfolio.cfg"
+STOP_REASONS = ("fixed_point", "certified", "max_sweeps")
+
+
+def portfolio_grid(case_id, n, kind="lower"):
+    """Start matrix and cost of a case of demos/portfolio.cfg at size n."""
+    config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
+    case = next(c for c in config.cases if c.case_id == case_id)
+    return grid_matrix([truncate_unbounded_sides(s) for s in case.specs], n, kind), case.cost
+
+
+class TestStopReason:
+    def test_certified_run_stops_early_on_the_same_objective(self):
+        X0, cost = portfolio_grid("exponentials", 10_000)
+        full = run_ra(X0, cost)
+        res = run_ra(X0, cost, bound=jensen_bound(X0, cost))
+        assert full.stop_reason == "fixed_point" and full.converged
+        assert res.stop_reason == "certified" and not res.converged
+        assert res.sweeps < full.sweeps
+        assert res.sweeps_total == res.sweeps
+        assert abs(res.objective - full.objective) <= CERTIFY_RTOL * (1.0 + abs(full.objective))
+        assert res.matrix.columns_match_provenance()
+
+    def test_sweep_limit_on_an_uncertified_grid(self):
+        X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 500)
+        cost = CostFunction(sum_agg(3), power(2))
+        res = run_ra(X0, cost, max_sweeps=1, bound=jensen_bound(X0, cost))
+        assert res.stop_reason == "max_sweeps" and not res.converged
+        assert res.sweeps == 1
+
+    def test_fixed_point_wins_the_tie_with_the_bound(self):
+        # one row: the objective equals the Jensen bound, and no column moves
+        X = matrix([4], [7])
+        assert objective(X, SQ_SUM) == jensen_bound(X, SQ_SUM)
+        res = run_ra(X, SQ_SUM, bound=jensen_bound(X, SQ_SUM))
+        assert res.stop_reason == "fixed_point" and res.converged and res.sweeps == 1
+
+    def test_every_start_gets_the_bound_and_adds_its_sweeps(self, monkeypatch):
+        X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 200)
+        cost = CostFunction(sum_agg(3), power(2))
+        runs = []
+        original = ra_core.run_ra
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            runs.append((kwargs.get("bound"), res.sweeps))
+            return res
+
+        monkeypatch.setattr(ra_core, "run_ra", recording)
+        res = run_ra_restarts(X0, cost, restarts=3, seed=1)
+        assert [bound for bound, _ in runs] == [jensen_bound(X0, cost)] * 3
+        assert res.restarts_run == 3
+        assert res.sweeps_total == sum(sweeps for _, sweeps in runs)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([identity(), stop_loss(1.0), power(2.0)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_converged_means_fixed_point(self, n, d, max_sweeps, transform, seed):
+        rng = np.random.default_rng(seed)
+        # values on a coarse grid, so ties are common
+        X = matrix(*(rng.integers(0, 4, size=(d, n)) / 2.0))
+        cost = CostFunction(sum_agg(d), transform)
+        for bound in (None, jensen_bound(X, cost)):
+            res = run_ra(X, cost, max_sweeps=max_sweeps, bound=bound)
+            assert res.stop_reason in STOP_REASONS
+            assert res.converged == (res.stop_reason == "fixed_point")
+            if bound is None:
+                assert res.stop_reason != "certified"
+
+
+class TestObjectiveCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = ra_core.objective
+
+        def counting(X, cost):
+            seen.append(1)
+            return original(X, cost)
+
+        monkeypatch.setattr(ra_core, "objective", counting)
+        return seen
+
+    def test_one_evaluation_per_sweep_with_a_bound(self, calls):
+        # uniform_exp_mix certifies after 3 sweeps at n=500
+        X0, cost = portfolio_grid("uniform_exp_mix", 500)
+        res = run_ra(X0, cost, bound=jensen_bound(X0, cost))
+        assert res.stop_reason == "certified" and res.sweeps == 3
+        assert len(calls) == res.sweeps
+
+    def test_one_evaluation_without_a_bound(self, calls):
+        X0, cost = portfolio_grid("uniform_exp_mix", 500)
+        res = run_ra(X0, cost)
+        assert res.sweeps > 1
+        assert len(calls) == 1
