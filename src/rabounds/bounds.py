@@ -92,7 +92,11 @@ class BoundsResult:
     sweeps_total_upper: int
 
 
-def _prepare_specs(specs: Sequence[MarginalSpec], auto_truncate: bool):
+def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_truncate: bool):
+    """Check the arity, then truncate: the specs to discretize, the windows
+    used and which of them this call added."""
+    if len(specs) != cost.d:
+        raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
     prepared = []
     auto_flags = []
     for spec in specs:
@@ -101,19 +105,6 @@ def _prepare_specs(specs: Sequence[MarginalSpec], auto_truncate: bool):
         auto_flags.append(adjusted is not spec)
     windows = tuple(s.truncation for s in prepared)
     return prepared, windows, tuple(auto_flags)
-
-
-def _grid_sides(specs: Sequence[MarginalSpec], cost: CostFunction, n: int,
-                auto_truncate: bool):
-    """Check the arity and truncate once; return a per-side discretizer.
-
-    Each side is discretized only when asked for, so a caller timing a side
-    times its grids too.
-    """
-    if len(specs) != cost.d:
-        raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
-    prepared, windows, auto_flags = _prepare_specs(specs, auto_truncate)
-    return (lambda kind: [discretize(s, n, kind) for s in prepared]), windows, auto_flags
 
 
 def estimate_inf(
@@ -134,7 +125,7 @@ def estimate_inf(
     :func:`rabounds.ra_core.run_ra_restarts`). The bracket property needs a
     componentwise increasing cost; anything else is rejected.
     """
-    grids, windows, auto_flags = _grid_sides(specs, cost, n, auto_truncate)
+    prepared, windows, auto_flags = _prepare_specs(specs, cost, auto_truncate)
     if not cost.componentwise_increasing:
         raise ValidationFailed(
             "bracketing requires a componentwise increasing cost"
@@ -143,7 +134,7 @@ def estimate_inf(
     fields = {"truncation_applied": windows, "auto_truncated": auto_flags}
     for kind in ("lower", "upper"):
         t0 = time.perf_counter()
-        margs = grids(kind)
+        margs = [discretize(s, n, kind) for s in prepared]
         start = ArrangementMatrix.comonotonic(margs)
         res = run_ra_restarts(start, cost, restarts=restarts, seed=seed, max_sweeps=max_sweeps)
         fields[f"runtime_ms_{kind}"] = int(round((time.perf_counter() - t0) * 1000))
@@ -165,7 +156,8 @@ def estimate_sup(
     Valid as a supremum only for supermodular costs (declared by construction
     for the built-in forms).
     """
-    grids, _, _ = _grid_sides(specs, cost, n, auto_truncate)
+    prepared, _, _ = _prepare_specs(specs, cost, auto_truncate)
     if not cost.is_validated:
         raise ValidationFailed("validate the cost before estimating the supremum")
-    return comonotonic_value(grids("lower"), cost), comonotonic_value(grids("upper"), cost)
+    lower, upper = ([discretize(s, n, kind) for s in prepared] for kind in ("lower", "upper"))
+    return comonotonic_value(lower, cost), comonotonic_value(upper, cost)

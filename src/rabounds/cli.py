@@ -32,6 +32,7 @@ except for the runtime columns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import dataclass, fields
@@ -402,7 +403,7 @@ def _oracle_check(case: CaseConfig) -> Dict[str, str]:
     """Exhaustive min per grid, plus the fixed-point-set equality verdict."""
     out = {}
     verdicts = []
-    prepared, _, _ = _prepare_specs(case.specs, case.auto_truncate)
+    prepared, _, _ = _prepare_specs(case.specs, case.cost, case.auto_truncate)
     for kind, column in (("lower", "oracle_lower"), ("upper", "oracle_upper")):
         margs = [discretize(s, case.n, kind) for s in prepared]
         X = ArrangementMatrix.comonotonic(margs)
@@ -514,15 +515,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("rabounds: --max-sweeps must be >= 1", file=sys.stderr)
         return 2
 
-    rows = run_cases(
-        config,
-        force_oracle=args.oracle,
-        seed_override=args.seed,
-        max_sweeps_override=args.max_sweeps,
-    )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    # opened before any case runs, so an unwritable --out costs no batch
+    try:
+        report = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"rabounds: cannot write report: {exc}", file=sys.stderr)
+        return 2
+    with report as fh:
+        rows = run_cases(
+            config,
+            force_oracle=args.oracle,
+            seed_override=args.seed,
+            max_sweeps_override=args.max_sweeps,
+        )
+        write_csv(rows, fh)
     return 0 if all(not r["error"] for r in rows) else 1

@@ -241,16 +241,12 @@ def discretize(spec: MarginalSpec, n: int, kind: str) -> DiscreteMarginal:
 
 def lower_bounded(spec: MarginalSpec) -> bool:
     """True when the (possibly truncated) marginal has a finite lower endpoint."""
-    if spec.truncation is not None and spec.truncation[0] > 0.0:
-        return True
-    return spec.family in ("uniform", "exponential", "pareto", "empirical")
+    return bool(np.isfinite(_quantile_array(spec, 0.0)))
 
 
 def upper_bounded(spec: MarginalSpec) -> bool:
     """True when the (possibly truncated) marginal has a finite upper endpoint."""
-    if spec.truncation is not None and spec.truncation[1] < 1.0:
-        return True
-    return spec.family in ("uniform", "empirical")
+    return bool(np.isfinite(_quantile_array(spec, 1.0)))
 
 
 def truncate_unbounded_sides(spec: MarginalSpec) -> MarginalSpec:

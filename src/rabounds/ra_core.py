@@ -19,7 +19,7 @@ arrangement, so by Jensen ``n * g(mean h)`` bounds every objective from below
 for the built-in convex transforms (:func:`jensen_bound`). A run that reaches
 this bound is optimal: given the bound, a run stops after the first sweep
 whose objective certifies, and restarts stop once the best run is certified.
-Every run records why it stopped (``RaResult.stop_reason``).
+:class:`RaResult` says why each run stopped and whether it is certified.
 """
 
 from __future__ import annotations
@@ -126,32 +126,42 @@ class ArrangementMatrix:
 class RaResult:
     """Outcome of a rearrangement run.
 
-    ``objective`` is the plain sum over rows (no 1/n factor); ``converged``
-    means a full sweep changed no column, which certifies membership in the
-    oppositely-ordered fixed-point set. ``stop_reason`` says why the run
-    ended: ``"fixed_point"`` (``converged``), ``"certified"`` (the objective
-    reached the bound the run was given, so the run is optimal although not
-    a fixed point) or ``"max_sweeps"`` (the sweep limit cut it).
-    ``sweeps_total`` sums the sweeps of every start that ran, ``sweeps``
-    those of the returned run alone.
+    ``objective`` is the plain sum over rows (no 1/n factor). ``bound`` is
+    the lower bound on every objective the run was given (None without one;
+    :func:`run_ra_restarts` gives :func:`jensen_bound`). ``stop_reason``
+    says why the run ended, checked after each sweep in this order:
 
-    ``bound`` is the :func:`jensen_bound` of the starting matrix (None when
-    there is none), ``certified`` means the objective reached it and so is
-    the optimum over all arrangements, and ``restarts_run`` counts the starts
-    actually run; :func:`run_ra_restarts` fills these three and
-    :func:`run_ra` leaves them at their defaults.
+    * ``"fixed_point"``: a full sweep changed no column, so the matrix is in
+      the oppositely-ordered fixed-point set;
+    * ``"certified"``: the objective came within ``CERTIFY_RTOL * (1 +
+      |bound|)`` of ``bound``, so the run is optimal although not a fixed
+      point;
+    * ``"max_sweeps"``: the sweep limit cut the run.
+
+    Two flags derive from these fields: ``converged`` means the stop reason
+    is ``"fixed_point"``, and ``certified`` means the objective is within the
+    tolerance of ``bound`` and so is the optimum over all arrangements (a
+    fixed point can be certified too). ``sweeps`` counts the sweeps of the
+    returned run, ``sweeps_total`` those of every start that ran, and
+    ``restarts_run`` the starts themselves.
     """
 
     matrix: ArrangementMatrix
     objective: float
     sweeps: int
     column_rearrangements: int
-    converged: bool
     stop_reason: str
     sweeps_total: int
     bound: Optional[float] = None
-    certified: bool = False
     restarts_run: int = 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "fixed_point"
+
+    @property
+    def certified(self) -> bool:
+        return _certifies(self.objective, self.bound)
 
 
 def _check_arity(X: ArrangementMatrix, d: int) -> None:
@@ -251,15 +261,13 @@ def run_ra(
     """Sweep columns cyclically until a full sweep changes nothing.
 
     Termination is guaranteed in exact arithmetic; under floating point the
-    ``max_sweeps`` guard reports converged=False instead of looping. Given a
-    lower ``bound`` on every objective (such as :func:`jensen_bound`), the
-    objective is evaluated after each sweep that moved a column, and the run
-    stops as soon as it is within ``CERTIFY_RTOL * (1 + |bound|)`` of the
-    bound; the last of these values is the reported objective. After each
-    sweep the stop reasons are checked in the order ``"fixed_point"``,
-    ``"certified"``, ``"max_sweeps"``. Without a bound the objective is
-    evaluated once, at the end. Raises :class:`ValidationFailed` when given
-    an unvalidated custom cost.
+    ``max_sweeps`` guard ends the run instead of looping. Given a lower
+    ``bound`` on every objective (such as :func:`jensen_bound`), the
+    objective is evaluated after each sweep that moved a column, so the run
+    can stop once it certifies; the last of these values is the reported
+    objective. Without a bound the objective is evaluated once, at the end.
+    The result records ``bound``; :class:`RaResult` lists the stop reasons.
+    Raises :class:`ValidationFailed` when given an unvalidated custom cost.
     """
     if not cost.is_validated:
         raise ValidationFailed(
@@ -274,7 +282,7 @@ def run_ra(
     sweeps = 0
     rearrangements = 0
     stop_reason = "max_sweeps"
-    value = None  # objective of cols, once evaluated
+    result = value = None  # matrix and objective of cols, once evaluated
     for _ in range(max_sweeps):
         sweeps += 1
         changed = False
@@ -291,19 +299,22 @@ def run_ra(
             stop_reason = "fixed_point"
             break
         if bound is not None:
-            value = objective(ArrangementMatrix(tuple(cols), X0.provenance), cost)
+            result = ArrangementMatrix(tuple(cols), X0.provenance)
+            value = objective(result, cost)
             if _certifies(value, bound):
                 stop_reason = "certified"
                 break
-    result = ArrangementMatrix(tuple(cols), X0.provenance)
+    if result is None:
+        result = ArrangementMatrix(tuple(cols), X0.provenance)
+        value = objective(result, cost)
     return RaResult(
         matrix=result,
-        objective=objective(result, cost) if value is None else value,
+        objective=value,
         sweeps=sweeps,
         column_rearrangements=rearrangements,
-        converged=stop_reason == "fixed_point",
         stop_reason=stop_reason,
         sweeps_total=sweeps,
+        bound=bound,
     )
 
 
@@ -335,11 +346,9 @@ def run_ra_restarts(
     the objective keep the earliest restart, so the result is deterministic.
     Every start is given :func:`jensen_bound`, computed once, so each run
     stops at its first certified sweep (see :func:`run_ra`). Restarts stop
-    early once the best run is certified optimal: its objective is within
-    ``CERTIFY_RTOL * (1 + |bound|)`` of the bound, so a later restart could
-    win only by float noise. The result carries that bound;
-    ``restarts_run`` says how many starts ran and ``sweeps_total`` how many
-    sweeps they took together.
+    once the best run is certified (see :class:`RaResult`): a later restart
+    could win only by float noise. The result adds ``restarts_run`` and
+    ``sweeps_total`` to the best run's.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -350,7 +359,7 @@ def run_ra_restarts(
     restarts_run = 1
     sweeps_total = best.sweeps
     for r in range(1, restarts):
-        if _certifies(best.objective, bound):
+        if best.certified:
             break
         shuffle_seed = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
         candidate = run_ra(
@@ -360,10 +369,4 @@ def run_ra_restarts(
         sweeps_total += candidate.sweeps
         if candidate.objective < best.objective:
             best = candidate
-    return replace(
-        best,
-        bound=bound,
-        certified=_certifies(best.objective, bound),
-        restarts_run=restarts_run,
-        sweeps_total=sweeps_total,
-    )
+    return replace(best, restarts_run=restarts_run, sweeps_total=sweeps_total)

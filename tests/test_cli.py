@@ -472,6 +472,17 @@ class TestMain:
         assert main([str(cfg), "--max-sweeps", "-3"]) == 2
         assert capsys.readouterr().err == "rabounds: --max-sweeps must be >= 1\n"
 
+    def test_exit_two_on_unwritable_out_before_any_case(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(PAIR)
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_cases called before the report was opened")
+
+        monkeypatch.setattr(cli, "run_cases", never)
+        assert main([str(cfg), "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("rabounds: cannot write report: ")
+
     def test_oracle_flag_fills_columns_within_budget(self, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"
         cfg.write_text(
@@ -504,3 +515,17 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     tracer = importlib.import_module("perfbench.tracer")
     for module, name in tracer.TARGETS:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_benchmark_workloads_pass_their_checks(monkeypatch, tmp_path):
+    # one untraced tiny batch per workload: an attribute the benchmark reads
+    # (RaResult.converged, BoundsResult.converged_lower, ...) must still exist
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(1, tiny=True, workdir=tmp_path)
+        try:
+            verdict = workload.check(workload.run())
+        finally:
+            workload.close()
+        assert verdict.failures == [], name

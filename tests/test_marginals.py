@@ -109,6 +109,19 @@ class TestEmpirical:
         assert lower.values[0] == v[0]
 
 
+SIDE_WINDOWS = (None, (0.0, 0.9), (0.1, 1.0), (0.1, 0.9), (0.0, 1 - 1e-5), (1e-5, 1.0))
+T, F = True, False
+# family -> (spec, (lower_bounded, upper_bounded) under each of SIDE_WINDOWS)
+BOUNDED_SIDES = {
+    "uniform": (uniform(0, 1), ((T, T), (T, T), (T, T), (T, T), (T, T), (T, T))),
+    "exponential": (exponential(1), ((T, F), (T, T), (T, F), (T, T), (T, T), (T, F))),
+    "pareto1.5": (pareto(1.5), ((T, F), (T, T), (T, F), (T, T), (T, T), (T, F))),
+    "pareto0.5": (pareto(0.5), ((T, F), (T, T), (T, F), (T, T), (T, T), (T, F))),
+    "normal": (normal(0, 1), ((F, F), (F, T), (T, F), (T, T), (F, T), (T, F))),
+    "empirical": (empirical([3, 1, 2]), ((T, T), (T, T), (T, T), (T, T), (T, T), (T, T))),
+}
+
+
 class TestTruncate:
     def test_identity_window_returns_equal_spec(self):
         spec = uniform(0, 1)
@@ -140,6 +153,14 @@ class TestTruncate:
         assert truncate_unbounded_sides(uniform(0, 1)) is uniform(0, 1) or (
             truncate_unbounded_sides(uniform(0, 1)).truncation is None
         )
+
+    @pytest.mark.parametrize("w", range(len(SIDE_WINDOWS)), ids=map(str, SIDE_WINDOWS))
+    @pytest.mark.parametrize("family", BOUNDED_SIDES)
+    def test_bounded_sides_per_family_and_window(self, family, w):
+        spec, expected = BOUNDED_SIDES[family]
+        if SIDE_WINDOWS[w] is not None:
+            spec = truncate(spec, *SIDE_WINDOWS[w])
+        assert (lower_bounded(spec), upper_bounded(spec)) == expected[w]
 
 
 class TestDiscretize:

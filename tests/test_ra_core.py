@@ -394,6 +394,13 @@ class TestStopReason:
         assert abs(res.objective - full.objective) <= CERTIFY_RTOL * (1.0 + abs(full.objective))
         assert res.matrix.columns_match_provenance()
 
+    def test_bounded_run_reports_its_bound(self):
+        X0, cost = portfolio_grid("exponentials", 10_000)
+        bound = jensen_bound(X0, cost)
+        res = run_ra(X0, cost, bound=bound)
+        assert res.stop_reason == "certified"
+        assert res.bound == bound and res.certified
+
     def test_sweep_limit_on_an_uncertified_grid(self):
         X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 500)
         cost = CostFunction(sum_agg(3), power(2))
@@ -444,6 +451,11 @@ class TestStopReason:
             assert res.converged == (res.stop_reason == "fixed_point")
             if bound is None:
                 assert res.stop_reason != "certified"
+            assert res.certified == (
+                bound is not None
+                and res.objective <= bound + CERTIFY_RTOL * (1 + abs(bound))
+            )
+            assert res.bound == bound
 
 
 class TestObjectiveCalls:
