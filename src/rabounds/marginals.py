@@ -222,8 +222,9 @@ def discretize(spec: MarginalSpec, n: int, kind: str) -> DiscreteMarginal:
     :class:`NonFiniteQuantile` if any grid point is infinite (typically the
     upper grid of an untruncated unbounded marginal).
     """
-    if n < 1:
+    if not (np.isfinite(n) and n >= 1 and n == int(n)):
         raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(n)
     if kind == "lower":
         grid = np.arange(0, n) / n
     elif kind == "upper":

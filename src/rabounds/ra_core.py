@@ -8,7 +8,8 @@ partial aggregate of the remaining columns, until a full sweep changes
 nothing; at that point every column is oppositely ordered to its partner
 vector and the matrix is a fixed point. Each individual re-sort pushes the
 row-aggregate vector down in the weak submajorization order, so the objective
-(sum of transformed row aggregates) never increases.
+(sum of transformed row aggregates) never increases. ``_step`` is that re-sort:
+:func:`run_ra` sweeps with it and :func:`rearrange_column` applies it once.
 
 Matrices are immutable: operations return new matrices sharing the untouched
 column arrays. Restarts rerun the loop from deterministically shuffled
@@ -108,10 +109,6 @@ class ArrangementMatrix:
         prov = tuple(DiscreteMarginal(np.sort(c)) for c in cols)
         return cls(cols, prov)
 
-    def with_column(self, i: int, column: np.ndarray) -> "ArrangementMatrix":
-        cols = self.columns[:i] + (column,) + self.columns[i + 1 :]
-        return ArrangementMatrix(cols, self.provenance)
-
     def columns_match_provenance(self) -> bool:
         return all(
             np.array_equal(np.sort(c), m.values)
@@ -208,21 +205,22 @@ def partial_aggregate_column(
 ) -> np.ndarray:
     """Row-wise partial aggregate of every column except i."""
     _check_arity(X, agg.d)
-    rest = [c for j, c in enumerate(X.columns) if j != i]
-    return eval_partial_rows(agg, i, rest)
+    return eval_partial_rows(agg, i, X.columns[:i] + X.columns[i + 1 :])
 
 
-def _column_pass(
-    col: np.ndarray, sorted_col: np.ndarray, part: np.ndarray
+def _step(
+    cols: Sequence[np.ndarray], i: int, agg: AggregationSpec, sorted_col: np.ndarray
 ) -> Optional[np.ndarray]:
-    """One sweep step: None if col is already opposite to part, else the
-    rearranged column.
+    """The rearrangement step: None when column i of ``cols`` is already
+    oppositely ordered to the partial aggregate of the others, else the
+    re-sorted column i.
 
-    Ascending column values go to the positions of descending partials; ties
-    in the partial aggregate are broken by row index (stable sort), so the
-    result is deterministic.
+    ``sorted_col`` holds column i's values ascending; they go to the
+    positions of descending partials. Ties in the partial aggregate are
+    broken by row index (stable sort), so the result is deterministic.
     """
-    order = _opposite_order(col, part)
+    part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
+    order = _opposite_order(cols[i], part)
     if order is None:
         return None
     out = np.empty_like(sorted_col)
@@ -233,19 +231,21 @@ def _column_pass(
 def rearrange_column(
     X: ArrangementMatrix, i: int, agg: AggregationSpec
 ) -> ArrangementMatrix:
-    """Re-sort column i oppositely to the partial aggregate of the others.
+    """Apply :func:`_step`, the step :func:`run_ra` sweeps with, to column i.
 
     Returns X itself when the column is already oppositely ordered, so the
     operation is idempotent; otherwise only column i changes.
     """
-    col = X.columns[i]
-    new_col = _column_pass(col, np.sort(col), partial_aggregate_column(X, i, agg))
-    return X if new_col is None else X.with_column(i, new_col)
+    _check_arity(X, agg.d)
+    cols = X.columns
+    new_col = _step(cols, i, agg, np.sort(cols[i]))
+    if new_col is None:
+        return X
+    return ArrangementMatrix(cols[:i] + (new_col,) + cols[i + 1 :], X.provenance)
 
 
 def is_in_opposite_set(X: ArrangementMatrix, agg: AggregationSpec) -> bool:
     """True iff every column is oppositely ordered to its partial aggregate."""
-    _check_arity(X, agg.d)
     return all(
         is_oppositely_ordered(X.columns[i], partial_aggregate_column(X, i, agg))
         for i in range(X.d)
@@ -258,7 +258,7 @@ def run_ra(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     bound: Optional[float] = None,
 ) -> RaResult:
-    """Sweep columns cyclically until a full sweep changes nothing.
+    """Apply :func:`_step` to the columns cyclically until a sweep moves none.
 
     Termination is guaranteed in exact arithmetic; under floating point the
     ``max_sweeps`` guard ends the run instead of looping. Given a lower
@@ -279,23 +279,18 @@ def run_ra(
     agg = cost.agg
     cols = list(X0.columns)
     sorted_cols = [np.sort(c) for c in cols]
-    sweeps = 0
     rearrangements = 0
     stop_reason = "max_sweeps"
     result = value = None  # matrix and objective of cols, once evaluated
-    for _ in range(max_sweeps):
-        sweeps += 1
-        changed = False
+    for sweeps in range(1, max_sweeps + 1):
+        moved = 0
         for i in range(len(cols)):
-            rest = [c for j, c in enumerate(cols) if j != i]
-            part = eval_partial_rows(agg, i, rest)
-            new_col = _column_pass(cols[i], sorted_cols[i], part)
-            if new_col is None:
-                continue
-            cols[i] = new_col
-            changed = True
-            rearrangements += 1
-        if not changed:
+            new_col = _step(cols, i, agg, sorted_cols[i])
+            if new_col is not None:
+                cols[i] = new_col
+                moved += 1
+        rearrangements += moved
+        if not moved:
             stop_reason = "fixed_point"
             break
         if bound is not None:

@@ -176,6 +176,10 @@ class TestPreconditions:
         with pytest.raises(ValidationFailed):
             estimate_inf([uniform(0, 1)], LINEAR2, n=4)
 
+    def test_fractional_n_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            estimate_inf([uniform(0, 1)] * 2, LINEAR2, n=2.5)
+
     def test_unvalidated_custom_cost_rejected_in_sup(self):
         from rabounds.costfn import custom_agg
 

@@ -529,3 +529,26 @@ def test_benchmark_workloads_pass_their_checks(monkeypatch, tmp_path):
         finally:
             workload.close()
         assert verdict.failures == [], name
+
+
+def test_benchmark_tracer_sees_the_hot_layers(monkeypatch, tmp_path):
+    # a refactor that binds a traced function where the tracer cannot patch
+    # it would make the per-layer metrics read 0 without any error
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracer_mod = importlib.import_module("perfbench.tracer")
+    workloads = importlib.import_module("perfbench.workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(1, tiny=True, workdir=tmp_path)
+        try:
+            with tracer_mod.Tracer() as tracer:
+                out = workload.run()
+            verdict = workload.check(out)
+        finally:
+            workload.close()
+        assert verdict.failures == [], name
+        layers = tracer_mod.layer_metrics(tracer)
+        seen = ["ra_core.run_ra.calls", "costfn.eval_partial_rows.calls", "ra_core.objective.calls"]
+        if name == "estimates":
+            seen.append("marginals.discretize.calls")
+        for metric in seen:
+            assert layers[metric] > 0, (name, metric)

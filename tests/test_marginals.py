@@ -204,6 +204,20 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(uniform(0, 1), 4, "middle")
 
+    @pytest.mark.parametrize("n", [2.5, 0.5, math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_n_must_be_a_positive_integer(self, n, kind):
+        # a fractional n would put grid points outside [0, 1] probability
+        with pytest.raises(ValueError, match="positive integer"):
+            discretize(uniform(0, 1), n, kind)
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_integral_float_n_gives_the_int_grid(self, kind):
+        spec = truncate(exponential(1), 0, 1 - 1e-5)
+        assert np.array_equal(
+            discretize(spec, 4.0, kind).values, discretize(spec, 4, kind).values
+        )
+
 
 class TestDiscreteMarginal:
     def test_rejects_unsorted_and_nonfinite(self):

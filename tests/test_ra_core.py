@@ -483,3 +483,88 @@ class TestObjectiveCalls:
         res = run_ra(X0, cost)
         assert res.sweeps > 1
         assert len(calls) == 1
+
+
+# demo 05's product of three growth factors, validated on [0.8, 1.25]
+PRODUCT3 = validate_cost(
+    CostFunction(
+        custom_agg(
+            3,
+            h=lambda a, b, c: a * b * c,
+            h2=lambda x, s: x * s,
+            hd1=[lambda b, c: b * c, lambda a, c: a * c, lambda a, b: a * b],
+            monotone_direction="increasing",
+        ),
+        stop_loss(1.0),
+    ),
+    low=0.8,
+    high=1.25,
+)
+
+
+def sweep_by_column(X, agg, max_sweeps):
+    """run_ra without a bound, written as sweeps of rearrange_column."""
+    moves = 0
+    for sweeps in range(1, max_sweeps + 1):
+        moved = 0
+        for i in range(X.d):
+            Y = rearrange_column(X, i, agg)
+            moved += Y is not X
+            X = Y
+        moves += moved
+        if not moved:
+            return X, sweeps, moves, "fixed_point"
+    return X, max_sweeps, moves, "max_sweeps"
+
+
+class TestOneStep:
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["square_sum", "weighted_stop_loss", "product"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_ra_sweeps_rearrange_column(self, d, n, max_sweeps, form, seed):
+        rng = np.random.default_rng(seed)
+        if form == "product":
+            cost = PRODUCT3
+            X = matrix(*rng.choice([0.8, 1.0, 1.25], size=(3, n)))
+        else:
+            if form == "square_sum":
+                cost = CostFunction(sum_agg(d), power(2))
+            else:
+                cost = CostFunction(weighted_sum([0.5, 0.25, 0.75, 1.0][:d]), stop_loss(0.5))
+            # dyadic values and weights, so partial aggregates tie exactly
+            X = matrix(*(rng.integers(0, 8, size=(d, n)) / 4.0))
+        want, sweeps, moves, reason = sweep_by_column(X, cost.agg, max_sweeps)
+        res = run_ra(X, cost, max_sweeps=max_sweeps)
+        assert all(np.array_equal(a, b) for a, b in zip(res.matrix.columns, want.columns))
+        assert (res.sweeps, res.column_rearrangements, res.stop_reason) == (
+            sweeps, moves, reason
+        )
+
+
+class TestArityGuards:
+    def test_column_index_beyond_the_matrix(self):
+        # i=2 fits sum_agg(3) but not a 2-column matrix, and the other two
+        # columns would pass the count check of eval_partial_rows
+        X2 = matrix([1, 2], [3, 4])
+        with pytest.raises(ArityMismatch):
+            partial_aggregate_column(X2, 2, sum_agg(3))
+        with pytest.raises(ArityMismatch):
+            rearrange_column(X2, 2, sum_agg(3))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matrix_arity_differs_from_the_cost(self, d):
+        X = matrix(*np.arange(2.0 * d).reshape(d, 2))
+        cost = CostFunction(sum_agg(3), power(2))
+        with pytest.raises(ArityMismatch):
+            run_ra(X, cost)
+        with pytest.raises(ArityMismatch):
+            is_in_opposite_set(X, cost.agg)
+        with pytest.raises(ArityMismatch):
+            objective(X, cost)
+        with pytest.raises(ArityMismatch):
+            jensen_bound(X, cost)
