@@ -292,9 +292,9 @@ def validate_supermodular(h2, pairs):
 
     ``pairs`` is an iterable or ``(m, 2, 2)`` array of ((x1, x2), (y1, y2)).
     ``h2`` must accept arrays: it runs once each on all x, y, x^y and xvy.
-    Returns (ok, violations) where each violation is (x, y, excess); failure
-    is a verdict. A NaN excess would pass, so a non-finite ``h2`` value
-    raises :class:`ValidationFailed`.
+    Returns (ok, violations) where each violation is (x, y, excess) in plain
+    floats; failure is a verdict. A NaN excess would pass, so a non-finite
+    ``h2`` value raises :class:`ValidationFailed`.
     """
     pts = np.asarray(list(pairs), dtype=float).reshape(-1, 2, 2)
     x, y = pts[:, 0], pts[:, 1]
@@ -306,7 +306,7 @@ def validate_supermodular(h2, pairs):
         )
     excess = (values[0] + values[1]) - (values[2] + values[3])
     bad = np.flatnonzero(excess > _TOL)
-    violations = [(tuple(x[k]), tuple(y[k]), float(excess[k])) for k in bad]
+    violations = [(tuple(x[k].tolist()), tuple(y[k].tolist()), float(excess[k])) for k in bad]
     return len(violations) == 0, violations
 
 

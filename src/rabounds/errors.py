@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class RaboundsError(Exception):
     """Base class for every error raised by this package."""
@@ -29,8 +31,12 @@ class BudgetExceeded(RaboundsError):
     """Exhaustive enumeration would need more evaluations than allowed."""
 
     def __init__(self, required: int, budget: int):
+        # Python prints no int of over 4300 digits, which (n!)^(d-1) reaches
+        # from n=1559 at d=2, so a long count is stated by its magnitude
+        bits = required.bit_length()
+        needed = required if bits <= 64 else f"at least 10^{int((bits - 1) * math.log10(2))}"
         super().__init__(
-            f"enumeration needs {required} arrangement evaluations, budget is {budget}"
+            f"enumeration needs {needed} arrangement evaluations, budget is {budget}"
         )
         self.required = required
         self.budget = budget

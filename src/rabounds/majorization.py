@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
@@ -123,36 +123,34 @@ def compare(x, y) -> OrderRelation:
     return rel(Order.INCOMPARABLE)
 
 
-def _opposite_order(x: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
-    """None when x is oppositely ordered to its partner y; otherwise the
-    stable descending order of y, along which a rearrangement of x should
-    place its ascending values.
+def _opposite_order(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, violated)`` for x against its partner y, along the last axis.
 
-    Along that order x must never decrease across groups of distinct y
-    values; ties in y place no constraint on x. Consecutive group dominance
-    implies the all-pairs condition.
+    ``order`` is the stable descending argsort of y: a rearrangement of x
+    places its ascending values there. ``violated`` is False exactly when
+    ``(x_i - x_j) * (y_i - y_j) <= 0`` for every index pair, that is when no
+    group of distinct y values along ``order`` starts with the running max
+    of x before it above the running min from it on; ties in y place no
+    constraint on x. Only values are compared, so nothing can underflow, and
+    a NaN is a violation. A ``(chunk, n)`` batch gets one flag per row.
     """
-    order = np.argsort(-y, kind="stable")
-    ys = y[order]
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-    if starts.size >= 2:
-        xs = x[order]
-        gmax = np.maximum.reduceat(xs, starts)
-        gmin = np.minimum.reduceat(xs, starts)
-        if not np.all(gmax[:-1] <= gmin[1:]):
-            return order
-    return None
+    order = np.argsort(-y, axis=-1, kind="stable")
+    ys = np.take_along_axis(y, order, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
+    starts = ys[..., 1:] != ys[..., :-1]
+    before = np.maximum.accumulate(xs, axis=-1)[..., :-1]
+    after = np.minimum.accumulate(xs[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+    return order, (starts & ~(before <= after)).any(axis=-1)
 
 
 def is_oppositely_ordered(x, y) -> bool:
     """True iff (x_i - x_j) * (y_i - y_j) <= 0 for every index pair.
 
-    Equivalent O(n log n) check: along the stable descending order of the
-    partner y, the values of x must never decrease across groups of distinct
-    y values; ties in y place no constraint on x.
+    An O(n log n) check through ``_opposite_order``, the predicate the
+    rearrangement step and the oracle's restricted scan use too.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatch(f"need equal-length vectors, got {x.shape} and {y.shape}")
-    return _opposite_order(x, y) is None
+    return not _opposite_order(x, y)[1]

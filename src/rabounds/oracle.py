@@ -8,7 +8,9 @@ column is oppositely ordered to its partial aggregate, and the comonotonic
 estimate of the supremum.
 
 Every aggregation kind takes one vectorized path that evaluates
-arrangements in chunks through the costfn row functions.
+arrangements in chunks through the costfn row functions. The restricted
+minimum runs the rearrangement step's own opposite-order predicate,
+``majorization._opposite_order``, on whole chunks.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     LengthMismatch,
     ValidationFailed,
 )
+from .majorization import _opposite_order
 from .marginals import DiscreteMarginal
 from .ra_core import ArrangementMatrix, objective
 
@@ -39,7 +42,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 
-# cells in one chunk's (chunk, n, n) opposite-order tensors
+# a chunk holds _CHUNK_CELLS // n**2 arrangements, which bounds each of its
+# (chunk, n) blocks and their temporaries to _CHUNK_CELLS // n cells
 _CHUNK_CELLS = 1 << 21
 
 
@@ -60,18 +64,6 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def _opposite_batch(colvals: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """All-pairs opposite-ordering predicate for a (chunk, n) batch.
-
-    Sign comparisons rather than difference products: products underflow to
-    zero for subnormal-scale differences and would mask violations.
-    """
-    dx = colvals[:, :, None] - colvals[:, None, :]
-    dy = part[:, :, None] - part[:, None, :]
-    violating = ((dx > 0) & (dy > 0)) | ((dx < 0) & (dy < 0))
-    return ~violating.any(axis=(1, 2))
-
-
 def _scan(
     X: ArrangementMatrix,
     cost: CostFunction,
@@ -83,8 +75,10 @@ def _scan(
     mode is "min", "max", or "min_restricted"; returns the value and the
     first arrangement attaining it. Each chunk is a list of d ``(chunk, n)``
     blocks evaluated by the costfn row functions, so every aggregation kind
-    takes this one path. A chunk holds ``max(1, _CHUNK_CELLS // n**2)``
-    arrangements; the result does not depend on it.
+    takes this one path; "min_restricted" keeps the rows in which
+    ``_opposite_order`` passes every column against its partial. A chunk
+    holds ``max(1, _CHUNK_CELLS // n**2)`` arrangements; the result does not
+    depend on it.
     """
     total = _check_budget(X, budget)
     n, d = X.n, X.d
@@ -113,7 +107,7 @@ def _scan(
                 # loop; deriving it as H - w_i*vals_i cancels catastrophically
                 # on tied values and can flag exact ties as violations
                 part = eval_partial_rows(agg, i, vals[:i] + vals[i + 1 :])
-                feasible &= _opposite_batch(np.ascontiguousarray(vals[i]), part)
+                feasible &= ~_opposite_order(vals[i], part)[1]
             obj = np.where(feasible, obj, np.inf)
         scored = sign * obj
         k = int(np.argmin(scored))

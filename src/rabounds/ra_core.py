@@ -220,8 +220,8 @@ def _step(
     broken by row index (stable sort), so the result is deterministic.
     """
     part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
-    order = _opposite_order(cols[i], part)
-    if order is None:
+    order, moved = _opposite_order(cols[i], part)
+    if not moved:
         return None
     out = np.empty_like(sorted_col)
     out[order] = sorted_col

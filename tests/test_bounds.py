@@ -180,6 +180,25 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="positive integer"):
             estimate_inf([uniform(0, 1)] * 2, LINEAR2, n=2.5)
 
+    @pytest.mark.parametrize(
+        "directions", [["increasing", "decreasing"], ["decreasing", "increasing"]]
+    )
+    def test_cost_not_componentwise_increasing_rejected(self, directions):
+        # a - b (or b - a) passes validation, but the bracket needs h increasing
+        from rabounds.costfn import custom_agg
+
+        sign = 1.0 if directions[0] == "increasing" else -1.0
+        agg = custom_agg(
+            2,
+            h=lambda a, b: sign * (a - b),
+            h2=[lambda x, s: sign * x + s, lambda x, s: s - sign * x],
+            hd1=[lambda b: -sign * b, lambda a: sign * a],
+            monotone_direction=directions,
+        )
+        cost = validate_cost(CostFunction(agg, identity()))
+        with pytest.raises(ValidationFailed, match="componentwise increasing"):
+            estimate_inf([uniform(0, 1), uniform(0, 1)], cost, n=4)
+
     def test_unvalidated_custom_cost_rejected_in_sup(self):
         from rabounds.costfn import custom_agg
 

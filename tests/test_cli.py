@@ -3,6 +3,9 @@
 import csv
 import importlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,53 @@ n = 10
             parse_config(text)
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (PAIR.replace("marginal = uniform 0 1\n", "", 1), ValidationError,
+             "case 'x': needs at least two marginals"),
+            (PAIR.replace("aggregation = sum\n", ""), ValidationError,
+             "case 'x': needs weights or aggregation = sum"),
+            (PAIR.replace("= sum", "= product"), ValidationError,
+             "case 'x': unknown aggregation 'product'"),
+            (PAIR.replace("n = 4", "n = 0"), ValidationError, "case 'x': n must be >= 1"),
+            (PAIR + "restarts = 0\n", ValidationError, "case 'x': restarts must be >= 1"),
+            (PAIR + "seed = -1\n", ValidationError, "case 'x': seed must be non-negative"),
+            (PAIR + "oracle_budget = 0\n", ValidationError,
+             "case 'x': oracle_budget must be >= 1"),
+            (PAIR + "oracle = maybe\n", ParseError, "line 6: expected on/off, got 'maybe'"),
+            ("[case x\n", ParseError, "line 1: malformed case header '[case x'"),
+            ("[case x y]\n", ParseError,
+             "line 1: case header must be [case <id>], got '[case x y]'"),
+            ("seed = -1\n" + PAIR, ValidationError, "global seed must be non-negative"),
+            ("n = 4\n" + PAIR, ParseError,
+             "line 1: key 'n' must appear inside a [case ...] block"),
+            (PAIR.replace("0 1\naggregation", "0 1 truncate 0.1\naggregation"), ParseError,
+             "line 3: truncate needs exactly p_lo and p_hi"),
+            (PAIR.replace("0 1\naggregation", "0 1 truncate 0.9 0.1\naggregation"),
+             ValidationError, "line 3: truncation needs 0 <= p_lo < p_hi <= 1, got (0.9, 0.1)"),
+            (PAIR.replace("uniform 0 1\naggregation", "empirical none.txt\naggregation"),
+             ValidationError, "line 3: empirical file not found: {dir}/none.txt"),
+            (PAIR.replace("uniform 0 1\naggregation", "empirical bad.txt\naggregation"),
+             ValidationError, "line 3: bad value 'abc' in empirical file {dir}/bad.txt"),
+            (PAIR.replace("uniform 0 1\naggregation", "empirical blank.txt\naggregation"),
+             ValidationError, "line 3: empirical file {dir}/blank.txt holds no values"),
+        ],
+        ids=[
+            "one_marginal", "no_aggregation", "unknown_aggregation", "n_0", "restarts_0",
+            "case_seed_-1", "oracle_budget_0", "flag_maybe", "unclosed_header",
+            "two_word_id", "global_seed_-1", "case_key_before_case", "truncate_one_bound",
+            "truncate_empty_window", "empirical_missing", "empirical_bad_value",
+            "empirical_blank",
+        ],
+    )
+    def test_range_and_shape_checks(self, tmp_path, text, error, message):
+        (tmp_path / "bad.txt").write_text("1.0\nabc\n")
+        (tmp_path / "blank.txt").write_text("# no values\n\n")
+        with pytest.raises(error) as err:
+            parse_config(text, base_dir=tmp_path)
+        assert str(err.value) == message.format(dir=tmp_path)
+
     def test_shipped_demo_config_parses(self):
         demo = Path(__file__).parent.parent / "demos" / "portfolio.cfg"
         cfg = parse_config(demo.read_text(), base_dir=demo.parent)
@@ -482,6 +532,32 @@ class TestMain:
         monkeypatch.setattr(cli, "run_cases", never)
         assert main([str(cfg), "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("rabounds: cannot write report: ")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["ok.cfg", "--seed", "-1"], "rabounds: --seed must be non-negative\n"),
+            (["missing.cfg"], "rabounds: cannot read config: "),
+        ],
+        ids=["seed_-1", "unreadable_config"],
+    )
+    def test_exit_two_on_bad_seed_or_config(self, tmp_path, capsys, args, message):
+        (tmp_path / "ok.cfg").write_text(PAIR)
+        assert main([str(tmp_path / args[0])] + args[1:]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_python_dash_m_runs_main(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(PAIR)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "rabounds", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert [r["case"] for r in rows_from_csv(done.stdout)] == ["x"]
 
     def test_oracle_flag_fills_columns_within_budget(self, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"

@@ -159,6 +159,26 @@ class TestFactories:
         with pytest.raises(ValueError):
             weighted_sum([1.0])
 
+    @pytest.mark.parametrize(
+        "d, h2, monotone_direction, message",
+        [
+            (1, lambda x, s: x + s, "increasing", "aggregation arity must be >= 2, got 1"),
+            (2, [lambda x, s: x + s], "increasing", "must cover all d coordinates"),
+            (2, lambda x, s: x + s, ["increasing"], "must cover all d coordinates"),
+            (2, lambda x, s: x + s, "up", "entries must be increasing/decreasing"),
+        ],
+        ids=["arity_1", "one_combine_for_two", "one_direction_for_two", "unknown_direction"],
+    )
+    def test_custom_agg_arguments_checked(self, d, h2, monotone_direction, message):
+        with pytest.raises(ValueError, match=message):
+            custom_agg(
+                d,
+                h=lambda *xs: sum(xs),
+                h2=h2,
+                hd1=lambda *xs: sum(xs),
+                monotone_direction=monotone_direction,
+            )
+
     def test_power_exponent_floor(self):
         with pytest.raises(ValueError):
             power(0.5)
@@ -208,6 +228,13 @@ class TestSupermodular:
         assert violations  # offending pair reported
         x, y, excess = violations[0]
         assert excess > 0
+
+    def test_violations_hold_plain_floats(self):
+        pts = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        ok, violations = validate_supermodular(np.maximum, pts)
+        assert violations == [((1.0, 0.0), (0.0, 1.0), 1.0)]
+        x, y, excess = violations[0]
+        assert all(type(v) is float for v in (*x, *y, excess))
 
     @pytest.mark.parametrize(
         "h2",
@@ -308,6 +335,36 @@ class TestValidateCost:
         )
         with pytest.raises(ValidationFailed):
             validate_cost(CostFunction(decreasing, identity()))
+
+    @pytest.mark.parametrize(
+        "agg, transform, message",
+        [
+            (
+                # max is submodular: max(1, 0) + max(0, 1) > max(0, 0) + max(1, 1)
+                custom_agg(
+                    2, h=np.maximum, h2=np.maximum, hd1=lambda v: v,
+                    monotone_direction="increasing",
+                ),
+                identity(),
+                "combine for coordinate 0 is not supermodular on samples: "
+                "first violation ((",
+            ),
+            (
+                custom_agg(
+                    2, h=lambda a, b: a + b, h2=lambda x, s: x + s, hd1=lambda v: v,
+                    monotone_direction="increasing",
+                ),
+                custom_transform(lambda y: np.minimum(y, 1.0)),
+                "transform o combine loses supermodularity on samples",
+            ),
+        ],
+        ids=["max_combine", "capped_transform"],
+    )
+    def test_supermodularity_verdicts(self, agg, transform, message):
+        with pytest.raises(ValidationFailed) as err:
+            validate_cost(CostFunction(agg, transform))
+        assert str(err.value).startswith(message)
+        assert "np.float64" not in str(err.value)
 
 
     def test_scalar_only_callable_rejected(self):

@@ -13,6 +13,7 @@ from rabounds import (
     sort_asc,
     sort_desc,
 )
+from rabounds.majorization import _opposite_order
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -106,6 +107,12 @@ class TestOppositelyOrdered:
     def test_tie_boundary_violation(self):
         assert not is_oppositely_ordered((1, 1, 2), (0, 5, 1))
 
+    def test_nan_is_a_violation(self):
+        # every pair without the NaN is oppositely ordered
+        x, y = np.array([1.0, np.nan, 0.0]), np.array([0.0, 1.0, 2.0])
+        assert not is_oppositely_ordered(x, y)
+        assert _opposite_order(np.stack([x, x[::-1]]), np.stack([y, y[::-1]]))[1].all()
+
     def test_trivial_sizes(self):
         assert is_oppositely_ordered([], [])
         assert is_oppositely_ordered([4.0], [9.0])
@@ -128,6 +135,41 @@ class TestOppositelyOrdered:
             for j in range(len(x))
         )
         assert is_oppositely_ordered(x, y) == want
+
+
+# a tied dyadic grid, both zeros and subnormal multiples of 5e-324, whose
+# differences underflow in a product
+tied_values = st.sampled_from(
+    [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -5e-324, 5e-324, 1e-323, 1.5e-323]
+)
+
+
+@st.composite
+def batches(draw):
+    """A (B, n) pair of batches, B in 1..20 and n in 1..7, on tied values."""
+    b = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 7))
+    cells = st.lists(tied_values, min_size=b * n, max_size=b * n)
+    return (np.reshape(draw(cells), (b, n)), np.reshape(draw(cells), (b, n)))
+
+
+@given(batches())
+@settings(max_examples=200, deadline=None)
+def test_batched_predicate_matches_all_pairs_definition_per_row(batch):
+    x, y = batch
+    order, violated = _opposite_order(x, y)
+    assert violated.shape == (x.shape[0],)
+    for xr, yr, row_order, row_violated in zip(x, y, order, violated):
+        # the sign form of test_matches_all_pairs_definition
+        want = any(
+            (xr[i] < xr[j] and yr[i] < yr[j]) or (xr[i] > xr[j] and yr[i] > yr[j])
+            for i in range(len(xr))
+            for j in range(len(xr))
+        )
+        assert bool(row_violated) == want
+        one_order, one_violated = _opposite_order(xr, yr)
+        assert np.array_equal(row_order, one_order)
+        assert one_violated == row_violated
 
 
 class TestRearrangementInequalities:

@@ -21,6 +21,7 @@ from rabounds import (
     identity,
     is_in_opposite_set,
     objective,
+    partial_aggregate_column,
     power,
     run_ra,
     stop_loss,
@@ -88,6 +89,17 @@ class TestBruteForceMin:
             brute_force_min(X, CostFunction(sum_agg(3), power(2)), budget=1000)
         assert err.value.required == math.factorial(8) ** 2
         assert arrangement_count(8, 3) == err.value.required
+
+    @pytest.mark.parametrize(
+        "scan", [brute_force_min, brute_force_max, brute_force_min_over_opposite_set]
+    )
+    def test_budget_guard_on_a_grid_too_large_to_print(self, scan):
+        # 2000! has 5736 digits, more than Python converts to text
+        X = matrix(np.arange(2000.0), np.arange(2000.0))
+        with pytest.raises(BudgetExceeded) as err:
+            scan(X, CostFunction(sum_agg(2), identity()))
+        assert err.value.required == math.factorial(2000)
+        assert "at least 10^5735 arrangement evaluations" in str(err.value)
 
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
     def test_chunking_does_not_change_result(self, chunk, monkeypatch):
@@ -193,8 +205,10 @@ class TestRestrictedMin:
         for cols, cost in cases:
             n = len(cols[0])
             X = matrix(*cols)
-            # reference: filter the plain enumeration by the public predicate
-            best = math.inf
+            # two references: filter the plain enumeration by the public
+            # predicate, which the scan shares, and by the all-pairs
+            # definition (x_i - x_j) * (y_i - y_j) <= 0 in sign form
+            best = best_by_definition = math.inf
             for combo in itertools.product(
                 list(itertools.permutations(range(n))), repeat=len(cols) - 1
             ):
@@ -202,8 +216,17 @@ class TestRestrictedMin:
                 Y = matrix(cols[0], *rest)
                 if is_in_opposite_set(Y, cost.agg):
                     best = min(best, objective(Y, cost))
+                partials = [partial_aggregate_column(Y, i, cost.agg) for i in range(Y.d)]
+                if not any(
+                    (x[a] < x[b] and y[a] < y[b]) or (x[a] > x[b] and y[a] > y[b])
+                    for x, y in zip(Y.columns, partials)
+                    for a in range(n)
+                    for b in range(n)
+                ):
+                    best_by_definition = min(best_by_definition, objective(Y, cost))
             got = brute_force_min_over_opposite_set(X, cost)
             assert got == pytest.approx(best, abs=1e-12)
+            assert got == pytest.approx(best_by_definition, abs=1e-12)
 
 
 class TestComonotonic:
@@ -300,3 +323,31 @@ def test_rearrangement_agrees_with_oracle_on_ties(instance):
         assert is_in_opposite_set(res.matrix, cost.agg)
     restricted = brute_force_min_over_opposite_set(X, cost)
     assert abs(restricted - global_min) <= 1e-12 * (1.0 + abs(global_min))
+
+
+@st.composite
+def untied_instances(draw):
+    """n = 5 rows, d in {2, 3}: uniform values, so no two values tie (almost
+    surely), under the weights and transforms of :func:`tied_instances`."""
+    _, cost = draw(tied_instances())
+    seed = draw(st.integers(0, 2**32 - 1))
+    cols = np.random.default_rng(seed).uniform(size=(cost.d, 5))
+    return matrix(*cols), cost
+
+
+@given(untied_instances())
+@settings(max_examples=150, deadline=None)
+def test_rearrangement_agrees_with_oracle_untied_at_n5(instance):
+    X, cost = instance
+    global_min, _ = brute_force_min(X, cost)
+    # without ties, the order of the rows can move a sum by an ulp
+    tol = 1e-12 * (1.0 + abs(global_min))
+    res = run_ra(X, cost)
+    assert global_min - tol <= res.objective <= objective(X, cost) + tol
+    if res.converged:
+        assert is_in_opposite_set(res.matrix, cost.agg)
+        if X.d == 2:
+            # the antitone coupling of two columns is optimal
+            assert abs(res.objective - global_min) <= tol
+    restricted = brute_force_min_over_opposite_set(X, cost)
+    assert abs(restricted - global_min) <= tol

@@ -66,6 +66,20 @@ class TestArrangementMatrix:
         with pytest.raises(ValueError):
             ArrangementMatrix.from_columns([[1, 2], [1, 2, 3]])
 
+    @pytest.mark.parametrize(
+        "columns, provenance, message",
+        [
+            ((), (), "at least one column"),
+            (([[1.0, 2.0]],), (DiscreteMarginal(np.array([1.0, 2.0])),), "1-D with equal length"),
+            (([1.0, 2.0],), (), "one provenance marginal per column"),
+            (([1.0, 2.0],), (DiscreteMarginal(np.array([1.0, 2.0, 3.0])),), "provenance length"),
+        ],
+        ids=["no_column", "2d_column", "no_provenance", "provenance_length"],
+    )
+    def test_constructor_checks(self, columns, provenance, message):
+        with pytest.raises(ValueError, match=message):
+            ArrangementMatrix(columns, provenance)
+
 
 class TestObjective:
     def test_comonotonic_square_sum(self):
@@ -216,6 +230,19 @@ class TestRunRa:
             if not moved:
                 break
         assert is_in_opposite_set(X, cost.agg)
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda X: run_ra(X, SQ_SUM, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
+            (lambda X: run_ra_restarts(X, SQ_SUM, restarts=0, seed=0), "restarts must be >= 1"),
+            (lambda X: run_ra_restarts(X, SQ_SUM, restarts=2, seed=-1), "seed must be a non"),
+        ],
+        ids=["max_sweeps_0", "restarts_0", "seed_-1"],
+    )
+    def test_argument_checks(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run(matrix([1, 2], [1, 2]))
 
 
 class TestShuffle:
