@@ -35,7 +35,7 @@ import argparse
 import contextlib
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -419,27 +419,15 @@ def _oracle_check(case: CaseConfig) -> Dict[str, str]:
     return out
 
 
-def run_cases(
-    config: RunConfig,
-    force_oracle: bool = False,
-    seed_override: Optional[int] = None,
-    max_sweeps_override: Optional[int] = None,
-) -> List[Dict[str, str]]:
+def run_cases(config: RunConfig) -> List[Dict[str, str]]:
     """One report row per case, in config order; errors stay on their row.
 
-    A ``max_sweeps_override`` below 1 or a negative ``seed_override`` raises
-    before any case runs.
+    Runs the config as given: :func:`parse_config` checked its values, and
+    :func:`main` checks the flags it folds in.
     """
     rows = []
-    max_sweeps = max_sweeps_override if max_sweeps_override is not None else config.max_sweeps
-    if max_sweeps < 1:
-        raise ValidationError("max_sweeps must be >= 1")
-    if seed_override is not None and seed_override < 0:
-        raise ValidationError("seed must be non-negative")
     for case in config.cases:
-        seed = seed_override if seed_override is not None else (
-            case.seed if case.seed is not None else config.seed
-        )
+        seed = case.seed if case.seed is not None else config.seed
         row = {c: "" for c in CSV_COLUMNS}
         row.update(
             case=case.case_id,
@@ -455,7 +443,7 @@ def run_cases(
                 n=case.n,
                 restarts=case.restarts,
                 seed=seed,
-                max_sweeps=max_sweeps,
+                max_sweeps=config.max_sweeps,
                 auto_truncate=case.auto_truncate,
             )
             for col in CSV_COLUMNS:
@@ -464,7 +452,7 @@ def run_cases(
                     row[col] = _fmt(getattr(result, field))
             row["truncated"] = _truncation_summary(result)
             # (n!)^(d-1) costs seconds at n=1e5, so count only when asked to check
-            if (case.oracle or force_oracle) and (
+            if case.oracle and (
                 arrangement_count(case.n, len(case.specs)) <= case.oracle_budget
             ):
                 row.update(_oracle_check(case))
@@ -514,6 +502,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.max_sweeps is not None and args.max_sweeps < 1:
         print("rabounds: --max-sweeps must be >= 1", file=sys.stderr)
         return 2
+    cases = tuple(
+        replace(c, seed=c.seed if args.seed is None else args.seed, oracle=c.oracle or args.oracle)
+        for c in config.cases
+    )
+    config = replace(config, cases=cases, max_sweeps=args.max_sweeps or config.max_sweeps)
 
     # opened before any case runs, so an unwritable --out costs no batch
     try:
@@ -522,11 +515,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"rabounds: cannot write report: {exc}", file=sys.stderr)
         return 2
     with report as fh:
-        rows = run_cases(
-            config,
-            force_oracle=args.oracle,
-            seed_override=args.seed,
-            max_sweeps_override=args.max_sweeps,
-        )
+        rows = run_cases(config)
         write_csv(rows, fh)
     return 0 if all(not r["error"] for r in rows) else 1

@@ -238,7 +238,7 @@ def rearrange_column(
     """
     _check_arity(X, agg.d)
     cols = X.columns
-    new_col = _step(cols, i, agg, np.sort(cols[i]))
+    new_col = _step(cols, i, agg, X.provenance[i].values)
     if new_col is None:
         return X
     return ArrangementMatrix(cols[:i] + (new_col,) + cols[i + 1 :], X.provenance)
@@ -267,6 +267,9 @@ def run_ra(
     can stop once it certifies; the last of these values is the reported
     objective. Without a bound the objective is evaluated once, at the end.
     The result records ``bound``; :class:`RaResult` lists the stop reasons.
+    Each step places the values of ``X0.provenance``: by the
+    :class:`ArrangementMatrix` invariant they are the columns' values sorted,
+    so no start sorts its columns again.
     Raises :class:`ValidationFailed` when given an unvalidated custom cost.
     """
     if not cost.is_validated:
@@ -278,7 +281,7 @@ def run_ra(
     _check_arity(X0, cost.d)
     agg = cost.agg
     cols = list(X0.columns)
-    sorted_cols = [np.sort(c) for c in cols]
+    sorted_cols = [m.values for m in X0.provenance]
     rearrangements = 0
     stop_reason = "max_sweeps"
     result = value = None  # matrix and objective of cols, once evaluated

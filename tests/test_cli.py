@@ -268,6 +268,7 @@ n = 10
             ("[case x y]\n", ParseError,
              "line 1: case header must be [case <id>], got '[case x y]'"),
             ("seed = -1\n" + PAIR, ValidationError, "global seed must be non-negative"),
+            ("max_sweeps = 0\n" + PAIR, ValidationError, "max_sweeps must be >= 1"),
             ("n = 4\n" + PAIR, ParseError,
              "line 1: key 'n' must appear inside a [case ...] block"),
             (PAIR.replace("0 1\naggregation", "0 1 truncate 0.1\naggregation"), ParseError,
@@ -284,9 +285,9 @@ n = 10
         ids=[
             "one_marginal", "no_aggregation", "unknown_aggregation", "n_0", "restarts_0",
             "case_seed_-1", "oracle_budget_0", "flag_maybe", "unclosed_header",
-            "two_word_id", "global_seed_-1", "case_key_before_case", "truncate_one_bound",
-            "truncate_empty_window", "empirical_missing", "empirical_bad_value",
-            "empirical_blank",
+            "two_word_id", "global_seed_-1", "global_max_sweeps_0", "case_key_before_case",
+            "truncate_one_bound", "truncate_empty_window", "empirical_missing",
+            "empirical_bad_value", "empirical_blank",
         ],
     )
     def test_range_and_shape_checks(self, tmp_path, text, error, message):
@@ -367,24 +368,6 @@ oracle = on
         assert rows[0]["oracle_lower"] == ""
         assert rows[0]["error"] == ""
 
-    def test_max_sweeps_override_below_one_rejected_before_any_case(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "estimate_inf", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValidationError) as err:
-            run_cases(parse_config(PAIR), max_sweeps_override=0)
-        assert calls == []
-        # the same text as for the config's own max_sweeps key
-        with pytest.raises(ValidationError) as key_err:
-            parse_config("max_sweeps = 0\n" + PAIR)
-        assert str(err.value) == str(key_err.value) == "max_sweeps must be >= 1"
-
-    def test_negative_seed_override_rejected_before_any_case(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "estimate_inf", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValidationError, match="seed must be non-negative"):
-            run_cases(parse_config(PAIR), seed_override=-1)
-        assert calls == []
-
     def test_arrangement_count_only_when_the_oracle_is_on(self, monkeypatch):
         counted = []
         real = cli.arrangement_count
@@ -393,12 +376,8 @@ oracle = on
         )
         rows = run_cases(parse_config(PAIR + "oracle = off\n"))
         assert counted == [] and rows[0]["error"] == ""
-        rows = run_cases(parse_config(PAIR + "oracle = off\n"), force_oracle=True)
+        rows = run_cases(parse_config(PAIR + "oracle = on\n"))
         assert counted == [(4, 2)] and rows[0]["oracle_lower"] != ""
-
-    def test_force_oracle_and_seed_override(self):
-        rows = run_cases(parse_config(GOOD), seed_override=99)
-        assert all(r["seed"] == "99" for r in rows)
 
     def test_certificate_columns(self):
         text = """
@@ -545,6 +524,34 @@ class TestMain:
         (tmp_path / "ok.cfg").write_text(PAIR)
         assert main([str(tmp_path / args[0])] + args[1:]) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_flags_edit_the_config(self, tmp_path):
+        body = (
+            "marginal = uniform 0 1\nmarginal = exponential 1\naggregation = sum\n"
+            "transform = stop_loss 1\nrestarts = 2\n"
+        )
+        flagged = tmp_path / "flagged.cfg"
+        flagged.write_text(
+            f"seed = 5\n[case p]\n{body}n = 4\nseed = 7\n[case q]\n{body}n = 3\noracle = off\n"
+        )
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(
+            f"max_sweeps = 1\n[case p]\n{body}n = 4\nseed = 99\noracle = on\n"
+            f"[case q]\n{body}n = 3\nseed = 99\noracle = on\n"
+        )
+        args = ["--seed", "99", "--max-sweeps", "1", "--oracle"]
+        assert main([str(flagged), "--out", str(tmp_path / "a.csv")] + args) == 0
+        assert main([str(edited), "--out", str(tmp_path / "b.csv")]) == 0
+        by_flags = rows_from_csv((tmp_path / "a.csv").read_text())
+        by_hand = rows_from_csv((tmp_path / "b.csv").read_text())
+        for row in by_flags + by_hand:
+            for col in RUNTIME_COLUMNS:
+                row.pop(col)
+        assert by_flags == by_hand
+        for row in by_flags:
+            assert row["seed"] == "99"
+            assert row["oracle_lower"] != "" and row["theorem_check"] == "pass"
+            assert row["stop_reason_lower"] == "max_sweeps"  # one sweep leaves it uncertified
 
     def test_python_dash_m_runs_main(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

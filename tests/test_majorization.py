@@ -67,6 +67,10 @@ class TestCompare:
         major = compare((1, 1, 1), (3, 0, 0))
         assert major.is_weakly_submajorized and major.is_weakly_supermajorized
 
+    def test_is_permutation(self):
+        assert compare((2, 1), (1, 2)).is_permutation
+        assert not compare((1, 1, 1), (3, 0, 0)).is_permutation
+
     @given(vectors)
     @settings(max_examples=200, deadline=None)
     def test_reflexive_permutation(self, xs):

@@ -8,6 +8,7 @@ import pytest
 from rabounds import (
     DiscreteMarginal,
     InvalidRange,
+    MarginalSpec,
     NonFiniteQuantile,
     discretize,
     empirical,
@@ -49,6 +50,11 @@ class TestQuantile:
         assert quantile(exponential(3), 0.0) == 0.0
         assert quantile(pareto(2), 0.0) == 1.0
         assert quantile(uniform(-2, 5), 0.0) == -2.0
+
+    def test_unknown_family_raises(self):
+        with pytest.raises(ValueError) as err:
+            quantile(MarginalSpec("gamma", (1.0,)), 0.5)
+        assert str(err.value) == "unknown family 'gamma'"
 
     def test_normal_quantile_against_mpmath(self):
         # independent oracle: mu + sigma*sqrt(2)*erfinv(2p-1) in high precision
@@ -226,8 +232,19 @@ class TestDiscreteMarginal:
         with pytest.raises(ValueError):
             DiscreteMarginal(np.array([1.0, np.inf]))
 
+    def test_rejects_a_2d_vector(self):
+        with pytest.raises(ValueError) as err:
+            DiscreteMarginal(np.zeros((2, 2)))
+        assert str(err.value) == "expected a 1-D value vector, got shape (2, 2)"
+
 
 class TestFactories:
+    def test_repr_is_config_like(self):
+        assert repr(empirical([3.0, 1.0, 2.0])) == "MarginalSpec(empirical(m=3))"
+        assert repr(truncate(pareto(2), 0.0, 0.99)) == (
+            "MarginalSpec(pareto(2.0,)|truncate(0.0, 0.99))"
+        )
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             uniform(1, 1)

@@ -12,6 +12,7 @@ from rabounds import (
     ArrangementMatrix,
     BudgetExceeded,
     CostFunction,
+    InternalInconsistency,
     LengthMismatch,
     arrangement_count,
     brute_force_max,
@@ -170,6 +171,17 @@ class TestRestrictedMin:
             restricted = brute_force_min_over_opposite_set(X, SQ_SUM)
             unrestricted, _ = brute_force_min(X, SQ_SUM)
             assert unrestricted <= restricted + 1e-12
+
+    def test_an_empty_opposite_set_is_an_internal_inconsistency(self, monkeypatch):
+        # the set is never empty, so only a broken predicate can reach the raise
+        monkeypatch.setattr(
+            oracle, "_opposite_order", lambda x, y: (None, np.ones(x.shape[:-1], dtype=bool))
+        )
+        with pytest.raises(InternalInconsistency) as err:
+            brute_force_min_over_opposite_set(matrix([1, 2], [3, 4]), SQ_SUM)
+        assert str(err.value) == (
+            "no oppositely-ordered arrangement found; the fixed-point set is never empty"
+        )
 
     def test_equals_global_on_tie_heavy_instances(self):
         # repeated and negative values: exact ties in the partial aggregates
