@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -123,7 +123,9 @@ def compare(x, y) -> OrderRelation:
     return rel(Order.INCOMPARABLE)
 
 
-def _opposite_order(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _opposite_order(
+    x: np.ndarray, y: np.ndarray, hint: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """``(order, violated)`` for x against its partner y, along the last axis.
 
     ``order`` is the stable descending argsort of y: a rearrangement of x
@@ -133,14 +135,51 @@ def _opposite_order(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     of x before it above the running min from it on; ties in y place no
     constraint on x. Only values are compared, so nothing can underflow, and
     a NaN is a violation. A ``(chunk, n)`` batch gets one flag per row.
+
+    ``hint``, for 1-D input only, is a permutation that nearly sorts y
+    descending, such as the ``order`` of a previous, similar y. It only
+    makes the sort faster (see :func:`_desc_order`); the result is the same.
     """
-    order = np.argsort(-y, axis=-1, kind="stable")
-    ys = np.take_along_axis(y, order, axis=-1)
-    xs = np.take_along_axis(x, order, axis=-1)
+    if y.ndim == 1:
+        order, ys = _desc_order(y, hint)
+        xs = x[order]
+    else:
+        order = np.argsort(-y, axis=-1, kind="stable")
+        ys = np.take_along_axis(y, order, axis=-1)
+        xs = np.take_along_axis(x, order, axis=-1)
     starts = ys[..., 1:] != ys[..., :-1]
     before = np.maximum.accumulate(xs, axis=-1)[..., :-1]
     after = np.minimum.accumulate(xs[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return order, (starts & ~(before <= after)).any(axis=-1)
+
+
+def _desc_order(
+    y: np.ndarray, hint: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(-y, kind="stable")`` for a 1-D y, and y in that order
+    (equal as values: a -0.0 may stand where y has 0.0).
+
+    Given ``hint``, the sort runs on ``y[hint]``: numpy's stable sort is a
+    timsort, near-linear on nearly sorted input. The tie groups it leaves in
+    ``hint``'s order are then put back in ascending index, so the order is
+    exactly the cold one. A NaN in y, which no tie group covers, takes the
+    cold sort.
+    """
+    if hint is None:
+        order = np.argsort(-y, kind="stable")
+        return order, y[order]
+    order = hint[np.argsort(-y[hint], kind="stable")]
+    ys = y[order]
+    if np.isnan(ys[-1]):  # NaNs sort last
+        return _desc_order(y, None)
+    tied = ys[1:] == ys[:-1]
+    if tied.any():
+        # sort (tie group, row) as one integer below n**2; it is nearly sorted
+        # already, and "stable" selects timsort
+        n = y.size
+        group = np.concatenate(([0], np.cumsum(~tied)))
+        order = np.sort(group * n + order, kind="stable") % n
+    return order, ys
 
 
 def is_oppositely_ordered(x, y) -> bool:

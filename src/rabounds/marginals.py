@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidRange, NonFiniteQuantile
 
@@ -154,6 +153,9 @@ def _base_quantile(spec: MarginalSpec, p: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.power(1.0 - p, -1.0 / alpha)
     if fam == "normal":
+        # imported here: scipy.special is most of the import time of rabounds
+        from scipy.special import ndtri
+
         mu, sigma = spec.params
         return mu + sigma * ndtri(p)
     if fam == "empirical":

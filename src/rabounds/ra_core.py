@@ -10,6 +10,10 @@ vector and the matrix is a fixed point. Each individual re-sort pushes the
 row-aggregate vector down in the weak submajorization order, so the objective
 (sum of transformed row aggregates) never increases. ``_step`` is that re-sort:
 :func:`run_ra` sweeps with it and :func:`rearrange_column` applies it once.
+Ties in a partial aggregate go by row index, so the step is deterministic.
+:func:`run_ra` warm-starts each step from the row order of that column's
+previous step, which makes the sort near-linear once the matrix settles; the
+order it finds is exactly the cold one, so results do not depend on it.
 
 Matrices are immutable: operations return new matrices sharing the untouched
 column arrays. Restarts rerun the loop from deterministically shuffled
@@ -209,23 +213,32 @@ def partial_aggregate_column(
 
 
 def _step(
-    cols: Sequence[np.ndarray], i: int, agg: AggregationSpec, sorted_col: np.ndarray
-) -> Optional[np.ndarray]:
-    """The rearrangement step: None when column i of ``cols`` is already
-    oppositely ordered to the partial aggregate of the others, else the
-    re-sorted column i.
+    cols: Sequence[np.ndarray],
+    i: int,
+    agg: AggregationSpec,
+    sorted_col: np.ndarray,
+    prev: Optional[np.ndarray] = None,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """The rearrangement step on column i of ``cols``: ``(new_col, order)``.
 
-    ``sorted_col`` holds column i's values ascending; they go to the
-    positions of descending partials. Ties in the partial aggregate are
-    broken by row index (stable sort), so the result is deterministic.
+    ``new_col`` is None when the column is already oppositely ordered to the
+    partial aggregate of the others, else the re-sorted column i.
+    ``sorted_col`` holds column i's values ascending; they go to the rows of
+    descending partials, listed by ``order``. Ties in the partial aggregate
+    are broken by row index (stable sort), so the result is deterministic.
+
+    ``prev`` is the ``order`` of this column's previous step, if any. Near
+    convergence the partial barely changes between steps, so sorting it in
+    that row order is near-linear; tied rows are put back in row index
+    order, so column and ``order`` are the same as without ``prev``.
     """
     part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
-    order, moved = _opposite_order(cols[i], part)
+    order, moved = _opposite_order(cols[i], part, prev)
     if not moved:
-        return None
+        return None, order
     out = np.empty_like(sorted_col)
     out[order] = sorted_col
-    return out
+    return out, order
 
 
 def rearrange_column(
@@ -234,11 +247,12 @@ def rearrange_column(
     """Apply :func:`_step`, the step :func:`run_ra` sweeps with, to column i.
 
     Returns X itself when the column is already oppositely ordered, so the
-    operation is idempotent; otherwise only column i changes.
+    operation is idempotent; otherwise only column i changes. No order is
+    kept between calls, so the step always sorts cold.
     """
     _check_arity(X, agg.d)
     cols = X.columns
-    new_col = _step(cols, i, agg, X.provenance[i].values)
+    new_col, _ = _step(cols, i, agg, X.provenance[i].values)
     if new_col is None:
         return X
     return ArrangementMatrix(cols[:i] + (new_col,) + cols[i + 1 :], X.provenance)
@@ -269,7 +283,10 @@ def run_ra(
     The result records ``bound``; :class:`RaResult` lists the stop reasons.
     Each step places the values of ``X0.provenance``: by the
     :class:`ArrangementMatrix` invariant they are the columns' values sorted,
-    so no start sorts its columns again.
+    so no start sorts its columns again. Each column's step after its first
+    sorts the partial starting from the order of that column's previous step;
+    the order, and so every result, equals the cold sort's, ties by row
+    index included.
     Raises :class:`ValidationFailed` when given an unvalidated custom cost.
     """
     if not cost.is_validated:
@@ -282,13 +299,14 @@ def run_ra(
     agg = cost.agg
     cols = list(X0.columns)
     sorted_cols = [m.values for m in X0.provenance]
+    orders = [None] * len(cols)  # each column's order from its last step
     rearrangements = 0
     stop_reason = "max_sweeps"
     result = value = None  # matrix and objective of cols, once evaluated
     for sweeps in range(1, max_sweeps + 1):
         moved = 0
         for i in range(len(cols)):
-            new_col = _step(cols, i, agg, sorted_cols[i])
+            new_col, orders[i] = _step(cols, i, agg, sorted_cols[i], orders[i])
             if new_col is not None:
                 cols[i] = new_col
                 moved += 1

@@ -1,6 +1,10 @@
 """Tests for quantile evaluation, truncation, and the two quantile grids."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,23 @@ class TestQuantile:
         for p in [1e-7, 1e-4, 0.2, 0.5, 0.9, 1 - 1e-4, 1 - 1e-7]:
             want = 1.5 + 0.7 * math.sqrt(2) * float(mpmath.erfinv(2 * p - 1))
             assert quantile(spec, p) == pytest.approx(want, abs=1e-9)
+
+    def test_import_leaves_scipy_special_out(self):
+        # only the normal quantile needs scipy.special, and it is most of
+        # the import time, so a fresh interpreter must not load it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, rabounds\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "rabounds.quantile(rabounds.normal(0, 1), 0.5)\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize(
         "spec",

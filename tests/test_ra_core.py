@@ -35,7 +35,7 @@ from rabounds import (
 )
 from rabounds import ra_core
 from rabounds.cli import parse_config
-from rabounds.costfn import custom_agg, eval_h_rows, validate_cost
+from rabounds.costfn import custom_agg, eval_h_rows, eval_partial_rows, validate_cost
 from rabounds.marginals import DiscreteMarginal, truncate_unbounded_sides
 from rabounds.ra_core import CERTIFY_RTOL, jensen_bound
 
@@ -568,6 +568,65 @@ class TestOneStep:
         want, sweeps, moves, reason = sweep_by_column(X, cost.agg, max_sweeps)
         res = run_ra(X, cost, max_sweeps=max_sweeps)
         assert all(np.array_equal(a, b) for a, b in zip(res.matrix.columns, want.columns))
+        assert (res.sweeps, res.column_rearrangements, res.stop_reason) == (
+            sweeps, moves, reason
+        )
+
+
+def step_bytes(step):
+    """A ``_step`` result as bytes, so equality is bitwise."""
+    col, order = step
+    return (None if col is None else col.tobytes()), order.tobytes()
+
+
+def nan_partial_sum(d):
+    """A sum whose partial aggregate is NaN wherever the first other column
+    is negative: a NaN sorts last and ties with nothing, so the warm step
+    has to take the cold sort."""
+    return custom_agg(
+        d, h=lambda *xs: sum(xs), h2=lambda x, s: x + s,
+        hd1=lambda *xs: np.where(xs[0] < 0, np.nan, sum(xs)),
+        monotone_direction="increasing",
+    )
+
+
+# dyadic values, signed zeros included, so partial aggregates tie exactly
+# and -0.0 meets 0.0 in them
+DYADIC = [-0.0, 0.0, 0.25, -0.25, 0.5, 1.0, -1.5]
+
+
+class TestWarmStep:
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["sum", "weighted_sum", "nan_partial"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_previous_order_gives_the_cold_step(self, d, n, form, seed):
+        rng = np.random.default_rng(seed)
+        cols = [rng.choice(DYADIC, size=n) for _ in range(d)]
+        agg = {
+            "sum": sum_agg,
+            "weighted_sum": lambda d: weighted_sum([0.5, 0.25, 0.75, 2.0][:d]),
+            "nan_partial": nan_partial_sum,
+        }[form](d)
+        i = int(rng.integers(d))
+        sorted_col = np.sort(cols[i])
+        part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
+        cold = ra_core._step(cols, i, agg, sorted_col)
+        warm = ra_core._step(cols, i, agg, sorted_col, rng.permutation(n))
+        assert step_bytes(warm) == step_bytes(cold)
+        assert np.array_equal(cold[1], np.argsort(-part, kind="stable"))
+
+    def test_hard_grid_matches_cold_steps(self):
+        # a shuffled uncertified lower grid: every step after a column's
+        # first runs warm, and homogeneous columns tie partials exactly
+        cost = CostFunction(sum_agg(3), power(2.0))
+        X = shuffle_columns(grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 2000), 7)
+        want, sweeps, moves, reason = sweep_by_column(X, cost.agg, ra_core.DEFAULT_MAX_SWEEPS)
+        res = run_ra(X, cost)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(res.matrix.columns, want.columns))
         assert (res.sweeps, res.column_rearrangements, res.stop_reason) == (
             sweeps, moves, reason
         )
