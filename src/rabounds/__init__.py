@@ -58,6 +58,7 @@ from .oracle import (
     brute_force_min,
     brute_force_min_over_opposite_set,
     comonotonic_value,
+    within_budget,
 )
 from .ra_core import (
     ArrangementMatrix,
@@ -124,6 +125,7 @@ __all__ = [
     "brute_force_min_over_opposite_set",
     "comonotonic_value",
     "arrangement_count",
+    "within_budget",
     # bounds
     "BoundsResult",
     "estimate_inf",

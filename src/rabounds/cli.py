@@ -3,7 +3,7 @@
 Config format (line-oriented key = value, '#' starts a comment):
 
     # optional global defaults before the first case
-    seed = 42
+    seed = 42                      # default seed of every case
     max_sweeps = 100
 
     [case row1]
@@ -14,9 +14,9 @@ Config format (line-oriented key = value, '#' starts a comment):
     transform = stop_loss 0.3      # identity | stop_loss k | power p
     n = 100000
     restarts = 3
-    seed = 7                       # optional per-case override
+    seed = 7                       # optional; replaces the global seed
     oracle = on                    # exhaustive cross-check (tiny cases only)
-    oracle_budget = 1000000
+    oracle_budget = 1000000        # more arrangements: the check is skipped
     auto_truncate = on             # default on
 
 Marginal syntax: ``uniform a b`` | ``exponential rate`` | ``pareto alpha`` |
@@ -25,8 +25,8 @@ to the config file), each optionally followed by ``truncate p_lo p_hi``.
 
 One CSV row per case, in config order; a failing case carries its error
 string in the last column and does not abort the batch. Exit code is 0 iff
-no row carries an error, and 2 for an invalid config or flag. Identical config and seed produce identical CSV
-except for the runtime columns.
+no row carries an error, and 2 for an invalid config or flag. Identical
+config and seeds produce identical CSV except for the runtime columns.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .errors import RaboundsError
 from .marginals import MarginalSpec, discretize
 from .oracle import (
     DEFAULT_BUDGET,
-    arrangement_count,
     brute_force_min,
     brute_force_min_over_opposite_set,
+    within_budget,
 )
 from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix
 
@@ -124,7 +124,7 @@ class CaseConfig:
     cost: CostFunction
     n: int
     restarts: int
-    seed: Optional[int]  # None -> global default
+    seed: int  # the case's own seed line, else the global seed
     oracle: bool
     oracle_budget: int
     auto_truncate: bool
@@ -132,8 +132,9 @@ class CaseConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The cases in config order, each with its seed, and their sweep limit."""
+
     cases: Tuple[CaseConfig, ...]
-    seed: int = 0
     max_sweeps: int = DEFAULT_MAX_SWEEPS
 
 
@@ -260,9 +261,10 @@ def _parse_transform(value: str, line_no: int, base_dir: Path):
     return _build(_TRANSFORMS, "transform", tokens, line_no, base_dir)
 
 
-# case key -> (parser(value, line_no, base_dir), default). A repeated key keeps
-# its last value, except "marginal", whose lines append in order. The keys
-# named like CaseConfig fields pass through to it unchanged.
+# case key -> (parser(value, line_no, base_dir), default); a global "seed" line
+# replaces the default seed. A repeated key keeps its last value, except
+# "marginal", whose lines append in order. The keys named like CaseConfig
+# fields pass through to it unchanged.
 _CASE_KEYS = {
     "marginal": (_parse_marginal, ()),
     "weights": (
@@ -273,7 +275,7 @@ _CASE_KEYS = {
     "transform": (_parse_transform, identity()),
     "n": (_parse_count, None),
     "restarts": (_parse_count, 1),
-    "seed": (_parse_count, None),
+    "seed": (_parse_count, 0),
     "oracle": (_parse_flag, False),
     "oracle_budget": (_parse_count, DEFAULT_BUDGET),
     "auto_truncate": (_parse_flag, True),
@@ -310,7 +312,7 @@ def _finish_case(cid: str, raw: Dict) -> CaseConfig:
         raise ValidationError(f"case {cid!r}: n must be >= 1")
     if raw["restarts"] < 1:
         raise ValidationError(f"case {cid!r}: restarts must be >= 1")
-    if raw["seed"] is not None and raw["seed"] < 0:
+    if raw["seed"] < 0:
         raise ValidationError(f"case {cid!r}: seed must be non-negative")
     if raw["oracle_budget"] < 1:
         raise ValidationError(f"case {cid!r}: oracle_budget must be >= 1")
@@ -320,12 +322,13 @@ def _finish_case(cid: str, raw: Dict) -> CaseConfig:
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """Parse and validate a run configuration.
 
+    A case without a ``seed`` line takes the global ``seed`` (0 if absent).
     Raises :class:`ParseError` for malformed lines and
     :class:`ValidationError` for semantic problems (a wrong parameter count,
     non-positive or non-finite weights, a missing marginal or n, ...).
     """
     base = Path(base_dir)
-    global_seed = 0
+    case_defaults = {key: default for key, (_, default) in _CASE_KEYS.items()}
     global_max_sweeps = DEFAULT_MAX_SWEEPS
     cases: List[CaseConfig] = []
     cid: Optional[str] = None
@@ -346,15 +349,15 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             if head[1] in (c.case_id for c in cases):
                 raise ValidationError(f"duplicate case id {head[1]!r}")
             cid = head[1]
-            current = {key: default for key, (_, default) in _CASE_KEYS.items()}
+            current = dict(case_defaults)
             continue
         if "=" not in line:
             raise ParseError(line_no, f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if cid is None:
             if key == "seed":
-                global_seed = _parse_number(value, line_no, int)
-                if global_seed < 0:
+                case_defaults["seed"] = _parse_number(value, line_no, int)
+                if case_defaults["seed"] < 0:
                     raise ValidationError("global seed must be non-negative")
             elif key == "max_sweeps":
                 global_max_sweeps = _parse_number(value, line_no, int)
@@ -374,7 +377,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         cases.append(_finish_case(cid, current))
     if not cases:
         raise ParseError(0, "config declares no cases")
-    return RunConfig(cases=tuple(cases), seed=global_seed, max_sweeps=global_max_sweeps)
+    return RunConfig(cases=tuple(cases), max_sweeps=global_max_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +430,13 @@ def run_cases(config: RunConfig) -> List[Dict[str, str]]:
     """
     rows = []
     for case in config.cases:
-        seed = case.seed if case.seed is not None else config.seed
         row = {c: "" for c in CSV_COLUMNS}
         row.update(
             case=case.case_id,
             n=str(case.n),
             d=str(len(case.specs)),
             restarts=str(case.restarts),
-            seed=str(seed),
+            seed=str(case.seed),
         )
         try:
             result = estimate_inf(
@@ -442,7 +444,7 @@ def run_cases(config: RunConfig) -> List[Dict[str, str]]:
                 case.cost,
                 n=case.n,
                 restarts=case.restarts,
-                seed=seed,
+                seed=case.seed,
                 max_sweeps=config.max_sweeps,
                 auto_truncate=case.auto_truncate,
             )
@@ -451,10 +453,7 @@ def run_cases(config: RunConfig) -> List[Dict[str, str]]:
                 if field in _RESULT_FIELDS:
                     row[col] = _fmt(getattr(result, field))
             row["truncated"] = _truncation_summary(result)
-            # (n!)^(d-1) costs seconds at n=1e5, so count only when asked to check
-            if case.oracle and (
-                arrangement_count(case.n, len(case.specs)) <= case.oracle_budget
-            ):
+            if case.oracle and within_budget(case.n, len(case.specs), case.oracle_budget):
                 row.update(_oracle_check(case))
         except RaboundsError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

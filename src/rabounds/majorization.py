@@ -141,13 +141,13 @@ def _opposite_order(
     makes the sort faster (see :func:`_desc_order`); the result is the same.
     """
     if y.ndim == 1:
-        order, ys = _desc_order(y, hint)
+        order, starts = _desc_order(y, hint)
         xs = x[order]
     else:
         order = np.argsort(-y, axis=-1, kind="stable")
         ys = np.take_along_axis(y, order, axis=-1)
+        starts = ys[..., 1:] != ys[..., :-1]
         xs = np.take_along_axis(x, order, axis=-1)
-    starts = ys[..., 1:] != ys[..., :-1]
     before = np.maximum.accumulate(xs, axis=-1)[..., :-1]
     after = np.minimum.accumulate(xs[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return order, (starts & ~(before <= after)).any(axis=-1)
@@ -156,30 +156,32 @@ def _opposite_order(
 def _desc_order(
     y: np.ndarray, hint: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(-y, kind="stable")`` for a 1-D y, and y in that order
-    (equal as values: a -0.0 may stand where y has 0.0).
+    """``np.argsort(-y, kind="stable")`` for a 1-D y, and the group starts
+    along it: ``starts[k]`` is True where the value at position k + 1 of
+    that order differs from the one at k, so False marks a tie.
 
     Given ``hint``, the sort runs on ``y[hint]``: numpy's stable sort is a
     timsort, near-linear on nearly sorted input. The tie groups it leaves in
     ``hint``'s order are then put back in ascending index, so the order is
-    exactly the cold one. A NaN in y, which no tie group covers, takes the
-    cold sort.
+    exactly the cold one; the starts do not depend on the order within a
+    group. A NaN in y, which no tie group covers, takes the cold sort.
     """
     if hint is None:
         order = np.argsort(-y, kind="stable")
-        return order, y[order]
+        ys = y[order]
+        return order, ys[1:] != ys[:-1]
     order = hint[np.argsort(-y[hint], kind="stable")]
     ys = y[order]
     if np.isnan(ys[-1]):  # NaNs sort last
         return _desc_order(y, None)
-    tied = ys[1:] == ys[:-1]
-    if tied.any():
+    starts = ys[1:] != ys[:-1]
+    if not starts.all():
         # sort (tie group, row) as one integer below n**2; it is nearly sorted
         # already, and "stable" selects timsort
         n = y.size
-        group = np.concatenate(([0], np.cumsum(~tied)))
+        group = np.concatenate(([0], np.cumsum(starts)))
         order = np.sort(group * n + order, kind="stable") % n
-    return order, ys
+    return order, starts
 
 
 def is_oppositely_ordered(x, y) -> bool:

@@ -7,6 +7,12 @@ maximum of the objective, the minimum restricted to arrangements where every
 column is oppositely ordered to its partial aggregate, and the comonotonic
 estimate of the supremum.
 
+Each scan first checks its ``budget``: :func:`within_budget` decides whether
+the (n!)^(d-1) arrangements fit without building that count. A scan that
+does not fit raises :class:`~rabounds.errors.BudgetExceeded`, which carries
+the exact count, before it starts; the batch CLI calls :func:`within_budget`
+itself to skip such a case.
+
 Every aggregation kind takes one vectorized path that evaluates
 arrangements in chunks through the costfn row functions. The restricted
 minimum runs the rearrangement step's own opposite-order predicate,
@@ -38,6 +44,7 @@ __all__ = [
     "brute_force_min_over_opposite_set",
     "comonotonic_value",
     "arrangement_count",
+    "within_budget",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -52,11 +59,27 @@ def arrangement_count(n: int, d: int) -> int:
     return math.factorial(n) ** (d - 1)
 
 
+def within_budget(n: int, d: int, budget: int) -> bool:
+    """``arrangement_count(n, d) <= budget``, without building the count.
+
+    Integer arithmetic only, so a count equal to the budget fits. The
+    running product stops as soon as it passes ``budget``: under the default
+    budget it stops at 10!, for any n >= 10 and d >= 2.
+    """
+    total = 1
+    for _ in range(d - 1):
+        for k in range(2, n + 1):
+            total *= k
+            if total > budget:
+                return False
+    return total <= budget
+
+
 def _check_budget(X: ArrangementMatrix, budget: int) -> int:
-    total = arrangement_count(X.n, X.d)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    return total
+    if not within_budget(X.n, X.d, budget):
+        # exact, so the error can say how far over the budget the scan is
+        raise BudgetExceeded(arrangement_count(X.n, X.d), budget)
+    return arrangement_count(X.n, X.d)
 
 
 def _perm_table(n: int) -> np.ndarray:

@@ -70,7 +70,8 @@ CERTIFY_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ArrangementMatrix:
-    """n x d matrix as a tuple of columns, plus the marginals they came from.
+    """n x d matrix (n, d >= 1) as a tuple of columns, plus the marginals
+    they came from.
 
     Invariant: column i is a permutation (multiset-equal) of provenance
     marginal i. Column arrays are treated as immutable everywhere.
@@ -86,6 +87,8 @@ class ArrangementMatrix:
         n = cols[0].size
         if any(c.ndim != 1 or c.size != n for c in cols):
             raise ValueError("all columns must be 1-D with equal length")
+        if n == 0:
+            raise ValueError("matrix needs at least one row")
         if len(self.provenance) != len(cols):
             raise ValueError("one provenance marginal per column required")
         if any(m.n != n for m in self.provenance):

@@ -251,7 +251,7 @@ class TestCertificate:
         config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
         case = next(c for c in config.cases if c.case_id == "exponentials")
         r = estimate_inf(case.specs, case.cost, n=10_000, restarts=case.restarts,
-                         seed=config.seed)
+                         seed=case.seed)
         assert case.restarts == 3
         assert (r.certified_lower, r.certified_upper) == (True, True)
         assert (r.restarts_run_lower, r.restarts_run_upper) == (1, 1)
@@ -275,7 +275,7 @@ class TestCertificate:
 def _portfolio_exponentials():
     config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
     case = next(c for c in config.cases if c.case_id == "exponentials")
-    return case.specs, case.cost, 2000, case.restarts, config.seed
+    return case.specs, case.cost, 2000, case.restarts, case.seed
 
 
 def _custom_product():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rabounds import RaboundsError, cli
+from rabounds import RaboundsError, cli, oracle
 from rabounds.cli import (
     CSV_COLUMNS,
     RUNTIME_COLUMNS,
@@ -62,8 +62,8 @@ def render(rows):
 
 class TestParse:
     def test_valid_config(self):
-        cfg = parse_config(GOOD)
-        assert cfg.seed == 5
+        cfg = parse_config(GOOD + "seed = 7\n")  # the last line joins case b
+        assert [c.seed for c in cfg.cases] == [5, 7]  # a: the global seed, b: its own
         assert [c.case_id for c in cfg.cases] == ["a", "b"]
         a = cfg.cases[0]
         assert a.cost.agg.weights == (0.5, 0.2, 0.3)
@@ -354,7 +354,12 @@ oracle = on
         assert row["oracle_lower"] == row["lower"]
         assert row["oracle_upper"] == row["upper"]
 
-    def test_oracle_skipped_beyond_budget(self):
+    def test_oracle_skipped_beyond_budget(self, monkeypatch):
+        # the gate decides without building 64!, which oracle.arrangement_count would
+        def no_count(n, d):
+            raise AssertionError("arrangement_count called")
+
+        monkeypatch.setattr(oracle, "arrangement_count", no_count)
         text = """
 [case big]
 marginal = uniform 0 1
@@ -370,14 +375,14 @@ oracle = on
 
     def test_arrangement_count_only_when_the_oracle_is_on(self, monkeypatch):
         counted = []
-        real = cli.arrangement_count
+        real = cli.within_budget
         monkeypatch.setattr(
-            cli, "arrangement_count", lambda n, d: counted.append((n, d)) or real(n, d)
+            cli, "within_budget", lambda n, d, b: counted.append((n, d, b)) or real(n, d, b)
         )
         rows = run_cases(parse_config(PAIR + "oracle = off\n"))
         assert counted == [] and rows[0]["error"] == ""
         rows = run_cases(parse_config(PAIR + "oracle = on\n"))
-        assert counted == [(4, 2)] and rows[0]["oracle_lower"] != ""
+        assert counted == [(4, 2, 1_000_000)] and rows[0]["oracle_lower"] != ""
 
     def test_certificate_columns(self):
         text = """

@@ -28,6 +28,7 @@ from rabounds import (
     stop_loss,
     sum_agg,
     weighted_sum,
+    within_budget,
 )
 from rabounds import oracle
 from rabounds.costfn import custom_agg, eval_g_rows, eval_h_rows, validate_cost
@@ -90,6 +91,12 @@ class TestBruteForceMin:
             brute_force_min(X, CostFunction(sum_agg(3), power(2)), budget=1000)
         assert err.value.required == math.factorial(8) ** 2
         assert arrangement_count(8, 3) == err.value.required
+
+    @pytest.mark.parametrize("n, d", itertools.product(range(9), range(1, 5)))
+    def test_within_budget_matches_the_exact_count(self, n, d):
+        count = arrangement_count(n, d)
+        for budget in (count - 1, count, count + 1):
+            assert within_budget(n, d, budget) is (count <= budget)
 
     @pytest.mark.parametrize(
         "scan", [brute_force_min, brute_force_max, brute_force_min_over_opposite_set]

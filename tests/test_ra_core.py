@@ -73,8 +73,9 @@ class TestArrangementMatrix:
             (([[1.0, 2.0]],), (DiscreteMarginal(np.array([1.0, 2.0])),), "1-D with equal length"),
             (([1.0, 2.0],), (), "one provenance marginal per column"),
             (([1.0, 2.0],), (DiscreteMarginal(np.array([1.0, 2.0, 3.0])),), "provenance length"),
+            (([], []), (DiscreteMarginal(np.array([])),) * 2, "at least one row"),
         ],
-        ids=["no_column", "2d_column", "no_provenance", "provenance_length"],
+        ids=["no_column", "2d_column", "no_provenance", "provenance_length", "no_row"],
     )
     def test_constructor_checks(self, columns, provenance, message):
         with pytest.raises(ValueError, match=message):
