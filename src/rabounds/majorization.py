@@ -138,50 +138,30 @@ def _opposite_order(
 
     ``hint``, for 1-D input only, is a permutation that nearly sorts y
     descending, such as the ``order`` of a previous, similar y. It only
-    makes the sort faster (see :func:`_desc_order`); the result is the same.
+    makes the sort faster; the result is the same. The sort then runs on
+    the complex key ``-y[hint] + 1j * hint``, which numpy orders by real
+    part, then imaginary part, with NaN real parts last (see "sort order
+    for complex numbers" under ``numpy.sort``): ties in y go by row index
+    inside the key, as in the cold sort. The keys are unique, and
+    ``"stable"`` only selects timsort, near-linear on nearly sorted input.
     """
     if y.ndim == 1:
-        order, starts = _desc_order(y, hint)
-        xs = x[order]
+        if hint is None:
+            order = np.argsort(-y, kind="stable")
+        else:
+            key = np.empty(y.size, dtype=complex)
+            key.real = -y[hint]
+            key.imag = hint
+            order = hint[np.argsort(key, kind="stable")]
+        ys, xs = y[order], x[order]
     else:
         order = np.argsort(-y, axis=-1, kind="stable")
         ys = np.take_along_axis(y, order, axis=-1)
-        starts = ys[..., 1:] != ys[..., :-1]
         xs = np.take_along_axis(x, order, axis=-1)
+    starts = ys[..., 1:] != ys[..., :-1]
     before = np.maximum.accumulate(xs, axis=-1)[..., :-1]
     after = np.minimum.accumulate(xs[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return order, (starts & ~(before <= after)).any(axis=-1)
-
-
-def _desc_order(
-    y: np.ndarray, hint: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(-y, kind="stable")`` for a 1-D y, and the group starts
-    along it: ``starts[k]`` is True where the value at position k + 1 of
-    that order differs from the one at k, so False marks a tie.
-
-    Given ``hint``, the sort runs on ``y[hint]``: numpy's stable sort is a
-    timsort, near-linear on nearly sorted input. The tie groups it leaves in
-    ``hint``'s order are then put back in ascending index, so the order is
-    exactly the cold one; the starts do not depend on the order within a
-    group. A NaN in y, which no tie group covers, takes the cold sort.
-    """
-    if hint is None:
-        order = np.argsort(-y, kind="stable")
-        ys = y[order]
-        return order, ys[1:] != ys[:-1]
-    order = hint[np.argsort(-y[hint], kind="stable")]
-    ys = y[order]
-    if np.isnan(ys[-1]):  # NaNs sort last
-        return _desc_order(y, None)
-    starts = ys[1:] != ys[:-1]
-    if not starts.all():
-        # sort (tie group, row) as one integer below n**2; it is nearly sorted
-        # already, and "stable" selects timsort
-        n = y.size
-        group = np.concatenate(([0], np.cumsum(starts)))
-        order = np.sort(group * n + order, kind="stable") % n
-    return order, starts
 
 
 def is_oppositely_ordered(x, y) -> bool:

@@ -54,8 +54,17 @@ DEFAULT_BUDGET = 1_000_000
 _CHUNK_CELLS = 1 << 21
 
 
+def _check_size(n: int, d: int) -> None:
+    if d < 1 or n < 0:
+        raise ValueError(f"need d >= 1 columns and n >= 0 rows, got d={d}, n={n}")
+
+
 def arrangement_count(n: int, d: int) -> int:
-    """Number of arrangements enumerated: (n!)^(d-1)."""
+    """Number of arrangements enumerated: (n!)^(d-1).
+
+    Raises ValueError for d < 1 or n < 0, sizes no matrix has.
+    """
+    _check_size(n, d)
     return math.factorial(n) ** (d - 1)
 
 
@@ -64,8 +73,10 @@ def within_budget(n: int, d: int, budget: int) -> bool:
 
     Integer arithmetic only, so a count equal to the budget fits. The
     running product stops as soon as it passes ``budget``: under the default
-    budget it stops at 10!, for any n >= 10 and d >= 2.
+    budget it stops at 10!, for any n >= 10 and d >= 2. Raises ValueError
+    as :func:`arrangement_count` does.
     """
+    _check_size(n, d)
     total = 1
     for _ in range(d - 1):
         for k in range(2, n + 1):

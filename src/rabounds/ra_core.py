@@ -75,6 +75,14 @@ class ArrangementMatrix:
 
     Invariant: column i is a permutation (multiset-equal) of provenance
     marginal i. Column arrays are treated as immutable everywhere.
+
+    The constructor trusts the invariant and does not check it; checking
+    would cost a sort on every matrix :func:`run_ra` builds
+    (:meth:`columns_match_provenance` checks it on demand).
+    :meth:`comonotonic` and :meth:`from_columns` establish it. :func:`run_ra`
+    and :func:`rearrange_column` place the ``provenance`` values, not the
+    column's own, so a hand-built matrix that breaks the invariant gives
+    wrong results.
     """
 
     columns: Tuple[np.ndarray, ...]
@@ -232,8 +240,9 @@ def _step(
 
     ``prev`` is the ``order`` of this column's previous step, if any. Near
     convergence the partial barely changes between steps, so sorting it in
-    that row order is near-linear; tied rows are put back in row index
-    order, so column and ``order`` are the same as without ``prev``.
+    that row order is near-linear. The row index is part of that sort's key
+    (see :func:`~rabounds.majorization._opposite_order`), so column and
+    ``order`` are the same as without ``prev``.
     """
     part = eval_partial_rows(agg, i, cols[:i] + cols[i + 1 :])
     order, moved = _opposite_order(cols[i], part, prev)
@@ -287,9 +296,9 @@ def run_ra(
     Each step places the values of ``X0.provenance``: by the
     :class:`ArrangementMatrix` invariant they are the columns' values sorted,
     so no start sorts its columns again. Each column's step after its first
-    sorts the partial starting from the order of that column's previous step;
-    the order, and so every result, equals the cold sort's, ties by row
-    index included.
+    sorts the partial starting from the order of that column's previous step,
+    with the row index in the sort key; the order, and so every result,
+    equals the cold sort's, ties by row index included.
     Raises :class:`ValidationFailed` when given an unvalidated custom cost.
     """
     if not cost.is_validated:

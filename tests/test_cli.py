@@ -477,6 +477,18 @@ class TestMain:
                     continue
                 assert r1[col] == r2[col]
 
+    def test_acceptance_batch_matches_golden_csv(self, tmp_path):
+        # a change that moves any value regenerates the golden file with
+        # `rabounds tests/data/acceptance.cfg --out tests/data/acceptance.csv`
+        out = tmp_path / "a.csv"
+        assert main([str(DATA_DIR / "acceptance.cfg"), "--out", str(out)]) == 0
+        got = rows_from_csv(out.read_text())
+        want = rows_from_csv((DATA_DIR / "acceptance.csv").read_text())
+        for row in got + want:
+            for col in RUNTIME_COLUMNS:
+                row.pop(col)
+        assert got == want
+
     def test_exit_one_on_error_row(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(

@@ -141,10 +141,10 @@ class TestOppositelyOrdered:
         assert is_oppositely_ordered(x, y) == want
 
 
-# a tied dyadic grid, both zeros and subnormal multiples of 5e-324, whose
-# differences underflow in a product
+# a tied dyadic grid, both zeros, subnormal multiples of 5e-324, whose
+# differences underflow in a product, and both infinities
 tied_values = st.sampled_from(
-    [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -5e-324, 5e-324, 1e-323, 1.5e-323]
+    [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -5e-324, 5e-324, 1e-323, 1.5e-323, -np.inf, np.inf]
 )
 
 
@@ -157,9 +157,9 @@ def batches(draw):
     return (np.reshape(draw(cells), (b, n)), np.reshape(draw(cells), (b, n)))
 
 
-@given(batches())
+@given(batches(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_batched_predicate_matches_all_pairs_definition_per_row(batch):
+def test_batched_predicate_matches_all_pairs_definition_per_row(batch, data):
     x, y = batch
     order, violated = _opposite_order(x, y)
     assert violated.shape == (x.shape[0],)
@@ -174,6 +174,16 @@ def test_batched_predicate_matches_all_pairs_definition_per_row(batch):
         one_order, one_violated = _opposite_order(xr, yr)
         assert np.array_equal(row_order, one_order)
         assert one_violated == row_violated
+        # a warm start from any row order, even the reverse of the tie rule,
+        # gives the cold order and flag
+        n = len(xr)
+        for hint in (
+            np.arange(n)[::-1],
+            np.array(data.draw(st.permutations(range(n))), dtype=np.intp),
+        ):
+            warm_order, warm_violated = _opposite_order(xr, yr, hint)
+            assert np.array_equal(warm_order, one_order)
+            assert warm_violated == one_violated
 
 
 class TestRearrangementInequalities:

@@ -99,6 +99,20 @@ class TestBruteForceMin:
             assert within_budget(n, d, budget) is (count <= budget)
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: arrangement_count(3, 0),
+            lambda: arrangement_count(-1, 2),
+            lambda: within_budget(3, 0, 1),
+            lambda: within_budget(-1, 2, 10),
+        ],
+        ids=["count_d0", "count_n-1", "budget_d0", "budget_n-1"],
+    )
+    def test_impossible_sizes_rejected(self, call):
+        with pytest.raises(ValueError, match="d >= 1 columns and n >= 0 rows"):
+            call()
+
+    @pytest.mark.parametrize(
         "scan", [brute_force_min, brute_force_max, brute_force_min_over_opposite_set]
     )
     def test_budget_guard_on_a_grid_too_large_to_print(self, scan):
