@@ -126,7 +126,7 @@ def estimate_inf(
     componentwise increasing cost; anything else is rejected.
     """
     prepared, windows, auto_flags = _prepare_specs(specs, cost, auto_truncate)
-    if not cost.componentwise_increasing:
+    if not cost.agg.componentwise_increasing:
         raise ValidationFailed(
             "bracketing requires a componentwise increasing cost"
         )

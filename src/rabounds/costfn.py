@@ -18,8 +18,8 @@ these properties; spot-check them with :func:`validate_cost` before running
 the rearrangement. Validation samples points, so it can refute but never
 prove.
 
-Every aggregation is evaluated through the ``*_rows`` functions on whole
-arrays, sampled validation included.
+Every aggregation and transform is evaluated through the ``*_rows``
+functions on whole arrays, sampled validation included.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ __all__ = [
 class AggregationSpec:
     """A d-ary aggregation with per-coordinate binary/partial decompositions.
 
-    ``kind`` is "sum", "weighted_sum", or "custom". Sums carry one weight per
-    coordinate (all 1.0 for "sum"). For custom aggregations, ``h2`` and
+    ``kind`` is "weighted_sum" or "custom". A weighted sum carries one weight
+    per coordinate (all 1.0 for a plain sum). For custom aggregations, ``h2`` and
     ``hd1`` hold one callable per coordinate (combine and partial), and
     ``monotone_direction`` declares the direction of h in each coordinate.
     """
@@ -79,10 +79,8 @@ class AggregationSpec:
 
 
 def sum_agg(d: int) -> AggregationSpec:
-    """Plain sum of d components: unit weights, kind "sum"."""
-    if d < 2:
-        raise ValueError(f"aggregation arity must be >= 2, got {d}")
-    return AggregationSpec(d=d, kind="sum", weights=(1.0,) * d)
+    """Plain sum of d components: the weighted sum with unit weights."""
+    return weighted_sum((1.0,) * d)
 
 
 def weighted_sum(weights: Sequence[float]) -> AggregationSpec:
@@ -168,7 +166,10 @@ def power(p: float) -> TransformSpec:
 
 
 def custom_transform(g: Callable[[np.ndarray], np.ndarray]) -> TransformSpec:
-    """Wrap a user callable declared increasing and convex (not verified)."""
+    """Wrap a user callable declared increasing and convex (not verified).
+
+    ``g`` takes a whole array and must return one of the same shape.
+    """
     return TransformSpec("custom", g=g)
 
 
@@ -190,10 +191,6 @@ class CostFunction:
         # are declared increasing convex, which is all the theory consumes.
         return self.validated or self.agg.kind != "custom"
 
-    @property
-    def componentwise_increasing(self) -> bool:
-        return self.agg.componentwise_increasing
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -208,7 +205,7 @@ def _check_index(agg: AggregationSpec, i: int) -> None:
 def _custom_rows(
     fn: Callable[..., np.ndarray], args: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Call a custom h, h2 or hd1 on whole arrays; the one place they run.
+    """Call a custom h, h2, hd1 or g on whole arrays; the one place they run.
 
     The result must have the shape of the inputs: a callable returning a
     constant would otherwise broadcast silently.
@@ -265,7 +262,7 @@ def eval_h2_rows(
 
 
 def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
-    """Apply the transform elementwise. Custom callables must accept arrays."""
+    """Apply the transform elementwise; a custom g runs through :func:`_custom_rows`."""
     if transform.form == "identity":
         return np.asarray(y, dtype=float)
     # one fresh buffer, then in-place steps: at n=1e5 a second temporary
@@ -276,7 +273,7 @@ def eval_g_rows(transform: TransformSpec, y: np.ndarray) -> np.ndarray:
     if transform.form == "power":
         out = np.maximum(y, 0.0, out=np.empty(np.shape(y)))
         return np.power(out, transform.param, out=out)
-    return np.asarray(transform.g(y), dtype=float)
+    return _custom_rows(transform.g, (y,))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,8 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
     on the sample once, then once per coordinate on the sample bumped in
     that coordinate. Raises :class:`ValidationFailed` on any violated check
     or non-finite value at a sampled or derived point and, chained, on any
-    error a custom callable raises. Built-in aggregations pass trivially.
+    error a custom callable raises. Built-in aggregations pass unsampled,
+    even with a custom transform.
     """
     if cost.agg.kind != "custom":
         return replace(cost, validated=True)
@@ -410,6 +408,6 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
         raise
     except Exception as exc:
         raise ValidationFailed(
-            f"custom aggregation fails on whole-array input: {exc!r}"
+            f"custom callable fails on whole-array input: {exc!r}"
         ) from exc
     return replace(cost, validated=True)

@@ -70,7 +70,7 @@ class TestParse:
         assert a.cost.transform.form == "stop_loss"
         assert a.n == 64 and a.restarts == 2
         b = cfg.cases[1]
-        assert b.cost.agg.kind == "sum"
+        assert b.cost.agg.weights == (1.0, 1.0)
         assert b.cost.transform.form == "identity"
 
     def test_truncation_and_empirical(self, tmp_path):

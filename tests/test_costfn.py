@@ -153,6 +153,9 @@ class TestFactories:
         with pytest.raises(ValueError):
             weighted_sum([0.5, -0.1])
 
+    def test_sum_is_the_unit_weighted_sum(self):
+        assert sum_agg(3) == weighted_sum([1.0, 1.0, 1.0])
+
     def test_arity_floor(self):
         with pytest.raises(ValueError):
             sum_agg(1)
@@ -392,6 +395,13 @@ class TestValidateCost:
         )
         with pytest.raises(ValidationFailed) as err:
             validate_cost(CostFunction(first, identity()))
+        assert isinstance(err.value.__cause__, ArityMismatch)
+
+    def test_reducing_transform_rejected(self):
+        # g must return one value per row, like the aggregation's callables
+        total = custom_transform(lambda y: float(np.sum(y)))
+        with pytest.raises(ValidationFailed) as err:
+            validate_cost(CostFunction(product_agg(), total), low=0.8, high=1.25)
         assert isinstance(err.value.__cause__, ArityMismatch)
 
     def test_non_finite_values_rejected(self):

@@ -1,4 +1,4 @@
-"""Smoke test: the walkthrough demos run to completion against src/."""
+"""Smoke test: the walkthrough demos run to completion against src/, warnings as errors."""
 
 import os
 import subprocess
@@ -25,7 +25,7 @@ def test_demo_exits_cleanly(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,7 @@ from rabounds import (
     compare,
     custom_transform,
     discretize,
+    estimate_inf,
     exponential,
     identity,
     is_in_opposite_set,
@@ -655,3 +656,20 @@ class TestArityGuards:
             objective(X, cost)
         with pytest.raises(ArityMismatch):
             jensen_bound(X, cost)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            objective,
+            run_ra,
+            lambda X, cost: estimate_inf([uniform(0.0, 1.0)] * 3, cost, n=4),
+            brute_force_min,
+        ],
+        ids=["objective", "run_ra", "estimate_inf", "brute_force_min"],
+    )
+    def test_transform_must_keep_the_shape(self, evaluate):
+        # a g that reduces its input would broadcast one value over every row
+        X = ArrangementMatrix.comonotonic([discretize(uniform(0.0, 1.0), 4, "lower")] * 3)
+        cost = CostFunction(sum_agg(3), custom_transform(lambda y: np.maximum(np.max(y), 0.0)))
+        with pytest.raises(ArityMismatch, match="returned shape"):
+            evaluate(X, cost)
