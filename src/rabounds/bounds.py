@@ -3,18 +3,20 @@
 For marginals given as quantile-function specs and a componentwise increasing
 cost, the infimum of the expectation over all joint distributions with those
 marginals is bracketed by running the rearrangement on the lower and upper
-n-point quantile grids and dividing the best objective by n. The supremum is
-estimated by the comonotonic arrangement on the same grids (it is attained
-there for supermodular costs).
+n-point quantile grids and dividing each side's objective by n. The upper
+grid is the lower grid shifted by one index, so the lower side's winning
+arrangement nearly solves it: the lower side runs its seeded restarts from
+the comonotonic start, and the upper side runs once, from the lower winner's
+row ranks filled with upper-grid values. The supremum is estimated by the
+comonotonic arrangement on the same grids (it is attained there for
+supermodular costs).
 
 Unbounded tails are truncated automatically (a fixed tail mass of 1e-5 is
 removed per unbounded side) unless the caller opts out; the applied windows are
-echoed in the result so runs are auditable. Both grid pipelines consume the
-same restart seed stream, so the reported gap reflects discretization rather
-than restart luck. For sum and weighted-sum aggregations under a built-in
-transform each side also reports its Jensen bound; a side whose best run
-reaches it is certified optimal on its grid: the run stops at that sweep and
-the side skips its remaining restarts.
+echoed in the result so runs are auditable. For sum and weighted-sum
+aggregations under a built-in transform each side also reports its Jensen
+bound; a side whose best run reaches it is certified optimal on its grid: the
+run stops at that sweep and the lower side skips its remaining restarts.
 """
 
 from __future__ import annotations
@@ -23,11 +25,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .costfn import CostFunction
 from .errors import ValidationFailed
-from .marginals import MarginalSpec, discretize, truncate_unbounded_sides
+from .marginals import DiscreteMarginal, MarginalSpec, discretize, truncate_unbounded_sides
 from .oracle import comonotonic_value
-from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, run_ra_restarts
+from .ra_core import (
+    DEFAULT_MAX_SWEEPS,
+    ArrangementMatrix,
+    RaResult,
+    jensen_bound,
+    run_ra,
+    run_ra_restarts,
+)
 
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
@@ -41,8 +52,9 @@ _SIDE_FIELDS = (
 class BoundsResult:
     """Bracket for the infimum plus diagnostics.
 
-    ``lower_estimate`` comes from the lower quantile grid and
-    ``upper_estimate`` from the upper grid (both are best-restart objectives
+    ``lower_estimate`` comes from the lower quantile grid (the best
+    restart's objective divided by n) and ``upper_estimate`` from the upper
+    grid (the objective of the one run that polishes the lower winner,
     divided by n). ``sup_lower`` / ``sup_upper`` are the comonotonic supremum
     estimates on the same two grids. ``truncation_applied`` echoes the
     probability window actually used per marginal (None when untouched), with
@@ -51,14 +63,16 @@ class BoundsResult:
     ``bound_lower`` / ``bound_upper`` are the Jensen bounds of the two grids
     divided by n (None for a custom aggregation or transform): no arrangement
     of the grid goes below them. ``certified_*`` says the side's estimate is
-    the optimum of its grid, and ``restarts_run_*`` how many of the
-    ``restarts`` starts ran before that was known.
+    the optimum of its grid. ``restarts_run_lower`` counts how many of the
+    ``restarts`` starts ran before that was known; the upper side ignores
+    ``restarts`` and ``seed``, so ``restarts_run_upper`` is always 1.
 
     ``sweeps_*``, ``converged_*`` and ``stop_reason_*`` describe the winning
     run: ``stop_reason_*`` is ``"fixed_point"`` (then ``converged_*`` is
     true), ``"certified"`` (the run stopped on the bound; ``converged_*`` is
     false, yet the estimate is the grid optimum) or ``"max_sweeps"``.
-    ``sweeps_total_*`` sums the sweeps of every start the side ran.
+    ``sweeps_total_*`` sums the sweeps of every start the side ran, so
+    ``sweeps_total_upper`` equals ``sweeps_upper``.
 
     Every per-side value is a ``<name>_lower`` / ``<name>_upper`` pair. The
     ``RaResult`` values named in ``_SIDE_FIELDS`` are copied unchanged, so a
@@ -107,6 +121,39 @@ def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_trunc
     return prepared, windows, tuple(auto_flags)
 
 
+def _on_ranks(
+    X: ArrangementMatrix, marginals: Sequence[DiscreteMarginal]
+) -> ArrangementMatrix:
+    """``marginals`` placed on the row ranks of X: in each column, the row
+    holding the k-th smallest value (ties by row index) gets the k-th
+    smallest value of the new marginal."""
+    cols = []
+    for col, m in zip(X.columns, marginals):
+        out = np.empty_like(m.values)
+        out[np.argsort(col, kind="stable")] = m.values
+        cols.append(out)
+    return ArrangementMatrix(tuple(cols), tuple(marginals))
+
+
+def _side_fields(
+    kind: str,
+    res: RaResult,
+    margs: Sequence[DiscreteMarginal],
+    cost: CostFunction,
+    n: int,
+    t0: float,
+) -> dict:
+    """The ``<name>_<kind>`` fields of one grid's run, timed from ``t0``."""
+    fields = {
+        f"runtime_ms_{kind}": int(round((time.perf_counter() - t0) * 1000)),
+        f"{kind}_estimate": res.objective / n,
+        f"bound_{kind}": None if res.bound is None else res.bound / n,
+        f"sup_{kind}": comonotonic_value(margs, cost),
+    }
+    fields.update((f"{name}_{kind}", getattr(res, name)) for name in _SIDE_FIELDS)
+    return fields
+
+
 def estimate_inf(
     specs: Sequence[MarginalSpec],
     cost: CostFunction,
@@ -118,12 +165,17 @@ def estimate_inf(
 ) -> BoundsResult:
     """Bracket the worst-case (infimum) expectation of the cost.
 
-    Runs the full pipeline twice, once per quantile grid: discretize every
-    marginal, start from the comonotonic arrangement, rearrange with
-    up to ``restarts`` seeded starting points, and scale the best objective by
-    1/n. A side stops restarting once its best run is certified optimal (see
-    :func:`rabounds.ra_core.run_ra_restarts`). The bracket property needs a
-    componentwise increasing cost; anything else is rejected.
+    The lower side discretizes every marginal on the lower grid, starts from
+    the comonotonic arrangement and rearranges with up to ``restarts`` seeded
+    starting points; it stops restarting once its best run is certified
+    optimal (see :func:`rabounds.ra_core.run_ra_restarts`). The upper side
+    discretizes on the upper grid and runs :func:`rabounds.ra_core.run_ra`
+    once, with the upper grid's Jensen bound, from the lower winner's ranks:
+    in each column the row holding the k-th smallest lower value (ties by
+    row index) gets the k-th smallest upper value. It ignores ``restarts``
+    and ``seed``. Each side's objective is scaled by 1/n. The bracket
+    property needs a componentwise increasing cost; anything else is
+    rejected.
     """
     prepared, windows, auto_flags = _prepare_specs(specs, cost, auto_truncate)
     if not cost.agg.componentwise_increasing:
@@ -132,16 +184,21 @@ def estimate_inf(
         )
 
     fields = {"truncation_applied": windows, "auto_truncated": auto_flags}
-    for kind in ("lower", "upper"):
-        t0 = time.perf_counter()
-        margs = [discretize(s, n, kind) for s in prepared]
-        start = ArrangementMatrix.comonotonic(margs)
-        res = run_ra_restarts(start, cost, restarts=restarts, seed=seed, max_sweeps=max_sweeps)
-        fields[f"runtime_ms_{kind}"] = int(round((time.perf_counter() - t0) * 1000))
-        fields[f"{kind}_estimate"] = res.objective / n
-        fields[f"bound_{kind}"] = None if res.bound is None else res.bound / n
-        fields[f"sup_{kind}"] = comonotonic_value(margs, cost)
-        fields.update((f"{name}_{kind}", getattr(res, name)) for name in _SIDE_FIELDS)
+    t0 = time.perf_counter()
+    lower = [discretize(s, n, "lower") for s in prepared]
+    res = run_ra_restarts(
+        ArrangementMatrix.comonotonic(lower), cost, restarts=restarts, seed=seed,
+        max_sweeps=max_sweeps,
+    )
+    fields.update(_side_fields("lower", res, lower, cost, n, t0))
+
+    t0 = time.perf_counter()
+    upper = [discretize(s, n, "upper") for s in prepared]
+    start = _on_ranks(res.matrix, upper)
+    del res, lower  # the lower winner is not needed during the upper run
+    bound = jensen_bound(ArrangementMatrix.comonotonic(upper), cost)
+    res = run_ra(start, cost, max_sweeps=max_sweeps, bound=bound)
+    fields.update(_side_fields("upper", res, upper, cost, n, t0))
     return BoundsResult(n=n, restarts=restarts, seed=seed, **fields)
 
 

@@ -18,6 +18,7 @@ from rabounds import (
     exponential,
     identity,
     normal,
+    pareto,
     power,
     stop_loss,
     sum_agg,
@@ -239,11 +240,12 @@ class TestDeterminism:
 
 class TestCertificate:
     def test_hard_case_runs_every_restart(self):
-        # 3 exponentials under power 2: the Jensen bound sits far below the optimum
+        # 3 exponentials under power 2: the Jensen bound sits far below the
+        # optimum, so the lower side runs every restart; the upper side runs once
         cost = CostFunction(sum_agg(3), power(2))
         r = estimate_inf([exponential(1)] * 3, cost, n=500, restarts=3, seed=1)
         assert (r.certified_lower, r.certified_upper) == (False, False)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (3, 3)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (3, 1)
         assert r.bound_lower < r.lower_estimate and r.bound_upper < r.upper_estimate
 
     def test_portfolio_exponentials_certified_after_first_run(self):
@@ -269,7 +271,7 @@ class TestCertificate:
         r = estimate_inf([uniform(0.5, 1), uniform(1, 2)], cost, n=50, restarts=2, seed=0)
         assert (r.bound_lower, r.bound_upper) == (None, None)
         assert (r.certified_lower, r.certified_upper) == (False, False)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (2, 2)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (2, 1)
 
 
 def _portfolio_exponentials():
@@ -289,8 +291,28 @@ def _custom_product():
     return [uniform(0.5, 1), uniform(1, 2)], cost, 50, 2, 0
 
 
+def _grid(specs, n, kind):
+    from rabounds.marginals import truncate_unbounded_sides
+
+    return [discretize(truncate_unbounded_sides(s), n, kind) for s in specs]
+
+
+def _on_lower_ranks(lower_winner, upper):
+    """The upper start by its definition: in each column, the row holding the
+    k-th smallest lower value (ties by row index) gets the k-th smallest
+    upper value."""
+    cols = []
+    for col, m in zip(lower_winner.columns, upper):
+        out = np.empty(m.n)
+        out[np.argsort(col, kind="stable")] = m.values
+        cols.append(out)
+    return ArrangementMatrix(tuple(cols), tuple(upper))
+
+
 class TestPerSideCopy:
-    """Each side of the result is its grid's RaResult, rebuilt here by hand."""
+    """Each side of the result is its grid's RaResult, rebuilt here by hand:
+    the lower side restarts from the comonotonic start, the upper side runs
+    once from the lower winner's ranks."""
 
     @pytest.mark.parametrize(
         "build",
@@ -302,19 +324,121 @@ class TestPerSideCopy:
         ids=["portfolio_exponentials_certified", "exp1_power2_uncertified", "custom_product"],
     )
     def test_fields_match_a_hand_built_run_per_side(self, build):
-        from rabounds.marginals import truncate_unbounded_sides
         from rabounds.oracle import comonotonic_value
-        from rabounds.ra_core import run_ra_restarts
+        from rabounds.ra_core import jensen_bound, run_ra, run_ra_restarts
 
         specs, cost, n, restarts, seed = build()
         r = estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
-        for kind in ("lower", "upper"):
-            margs = [discretize(truncate_unbounded_sides(s), n, kind) for s in specs]
-            res = run_ra_restarts(
-                ArrangementMatrix.comonotonic(margs), cost, restarts=restarts, seed=seed
-            )
+        lower, upper = _grid(specs, n, "lower"), _grid(specs, n, "upper")
+        low = run_ra_restarts(
+            ArrangementMatrix.comonotonic(lower), cost, restarts=restarts, seed=seed
+        )
+        up = run_ra(
+            _on_lower_ranks(low.matrix, upper), cost,
+            bound=jensen_bound(ArrangementMatrix.comonotonic(upper), cost),
+        )
+        for kind, res, margs in (("lower", low, lower), ("upper", up, upper)):
             assert getattr(r, f"{kind}_estimate") == res.objective / n
             assert getattr(r, f"bound_{kind}") == (None if res.bound is None else res.bound / n)
             assert getattr(r, f"sup_{kind}") == comonotonic_value(margs, cost)
             for name in ("converged", "sweeps", "certified", "restarts_run"):
                 assert getattr(r, f"{name}_{kind}") == getattr(res, name)
+
+
+def _empirical_mix():
+    acceptance = Path(__file__).resolve().parent / "data" / "acceptance.cfg"
+    config = parse_config(acceptance.read_text(), base_dir=acceptance.parent)
+    case = next(c for c in config.cases if c.case_id == "empirical_mix")
+    return case.specs, case.cost, case.n, case.restarts, case.seed
+
+
+class TestUpperStart:
+    """The upper run starts from the lower winner's ranks, filled with the
+    upper grid's values."""
+
+    @staticmethod
+    def _lower_winner_and_upper_start(monkeypatch, specs, cost, n, restarts, seed):
+        import rabounds.bounds as bounds_module
+
+        seen = {}
+        run_restarts, run = bounds_module.run_ra_restarts, bounds_module.run_ra
+
+        def lower_side(*args, **kwargs):
+            seen["lower"] = run_restarts(*args, **kwargs)
+            return seen["lower"]
+
+        def upper_side(X0, *args, **kwargs):
+            seen["start"] = X0
+            return run(X0, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "run_ra_restarts", lower_side)
+        monkeypatch.setattr(bounds_module, "run_ra", upper_side)
+        estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
+        return seen["lower"].matrix, seen["start"]
+
+    def test_tie_free_grid_keeps_the_lower_ranks(self, monkeypatch):
+        specs, cost, n = [exponential(1)] * 3, CostFunction(sum_agg(3), power(2)), 200
+        upper = _grid(specs, n, "upper")
+        assert all(np.all(np.diff(m.values) > 0) for m in _grid(specs, n, "lower") + upper)
+        winner, start = self._lower_winner_and_upper_start(monkeypatch, specs, cost, n, 3, 1)
+        assert start.columns_match_provenance()
+        assert [m.values.tolist() for m in start.provenance] == [m.values.tolist() for m in upper]
+        for low, col in zip(winner.columns, start.columns):
+            assert np.array_equal(np.argsort(col, kind="stable"), np.argsort(low, kind="stable"))
+
+    def test_tied_empirical_grid_is_filled_in_the_lower_order(self, monkeypatch):
+        # the returns sample has 25 points, so at n=50 both grids of the
+        # empirical column are tied; their tie groups sit one index apart, so
+        # the check is that the lower winner's stable order (ties by row
+        # index) reads the start column as the ascending upper grid
+        specs, cost, n, restarts, seed = _empirical_mix()
+        upper = _grid(specs, n, "upper")
+        assert np.any(np.diff(upper[0].values) == 0)
+        winner, start = self._lower_winner_and_upper_start(
+            monkeypatch, specs, cost, n, restarts, seed
+        )
+        assert start.columns_match_provenance()
+        assert [m.values.tolist() for m in start.provenance] == [m.values.tolist() for m in upper]
+        for low, col, m in zip(winner.columns, start.columns, upper):
+            assert np.array_equal(col[np.argsort(low, kind="stable")], m.values)
+
+
+# (specs, cost, how far below and above the old upper estimate the new one
+# may land, relative): the exponential case may end lower, but at most 1e-9
+# above; the Pareto cases agree to float noise
+HARD_TAILS = [
+    ([exponential(1)] * 3, CostFunction(sum_agg(3), power(2)), np.inf, 1e-9),
+    ([pareto(1.5)] * 3, CostFunction(sum_agg(3), stop_loss(12)), 1e-15, 1e-15),
+    ([pareto(2)] * 10, CostFunction(sum_agg(10), stop_loss(30)), 1e-15, 1e-15),
+]
+
+
+class TestUpperAgainstRestartedUpperGrid:
+    """The one polishing run against the upper grid's own restarts from its
+    comonotonic start, on the benchmark's hard cases at its n=4000."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "case", HARD_TAILS, ids=["exp1_power2", "pareto1.5_stop_loss12", "pareto2_d10_stop_loss30"]
+    )
+    def test_upper_estimate_within_tolerance(self, case, seed):
+        from rabounds.oracle import comonotonic_value
+        from rabounds.ra_core import run_ra_restarts
+
+        specs, cost, below, above = case
+        n, restarts = 4000, 3
+        r = estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
+        old = {}
+        for kind in ("lower", "upper"):
+            grid = _grid(specs, n, kind)
+            old[kind] = run_ra_restarts(
+                ArrangementMatrix.comonotonic(grid), cost, restarts=restarts, seed=seed
+            )
+            assert getattr(r, f"bound_{kind}") == old[kind].bound / n
+            assert getattr(r, f"sup_{kind}") == comonotonic_value(grid, cost)
+        assert r.lower_estimate == old["lower"].objective / n
+        for name in ("converged", "sweeps", "certified", "restarts_run", "stop_reason",
+                     "sweeps_total"):
+            assert getattr(r, f"{name}_lower") == getattr(old["lower"], name)
+        want = old["upper"].objective / n
+        assert -below <= (r.upper_estimate - want) / abs(want) <= above
