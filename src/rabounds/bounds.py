@@ -31,14 +31,7 @@ from .costfn import CostFunction
 from .errors import ValidationFailed
 from .marginals import DiscreteMarginal, MarginalSpec, discretize, truncate_unbounded_sides
 from .oracle import comonotonic_value
-from .ra_core import (
-    DEFAULT_MAX_SWEEPS,
-    ArrangementMatrix,
-    RaResult,
-    jensen_bound,
-    run_ra,
-    run_ra_restarts,
-)
+from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, RaResult, run_ra_restarts
 
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
@@ -169,11 +162,10 @@ def estimate_inf(
     the comonotonic arrangement and rearranges with up to ``restarts`` seeded
     starting points; it stops restarting once its best run is certified
     optimal (see :func:`rabounds.ra_core.run_ra_restarts`). The upper side
-    discretizes on the upper grid and runs :func:`rabounds.ra_core.run_ra`
-    once, with the upper grid's Jensen bound, from the lower winner's ranks:
-    in each column the row holding the k-th smallest lower value (ties by
-    row index) gets the k-th smallest upper value. It ignores ``restarts``
-    and ``seed``. Each side's objective is scaled by 1/n. The bracket
+    discretizes on the upper grid and runs once (``restarts=1``, with the
+    upper grid's Jensen bound) from the lower winner's ranks: in each column
+    the row holding the k-th smallest lower value (ties by row index) gets
+    the k-th smallest upper value. It ignores ``restarts`` and ``seed``. Each side's objective is scaled by 1/n. The bracket
     property needs a componentwise increasing cost; anything else is
     rejected.
     """
@@ -196,8 +188,7 @@ def estimate_inf(
     upper = [discretize(s, n, "upper") for s in prepared]
     start = _on_ranks(res.matrix, upper)
     del res, lower  # the lower winner is not needed during the upper run
-    bound = jensen_bound(ArrangementMatrix.comonotonic(upper), cost)
-    res = run_ra(start, cost, max_sweeps=max_sweeps, bound=bound)
+    res = run_ra_restarts(start, cost, restarts=1, seed=seed, max_sweeps=max_sweeps)
     fields.update(_side_fields("upper", res, upper, cost, n, t0))
     return BoundsResult(n=n, restarts=restarts, seed=seed, **fields)
 

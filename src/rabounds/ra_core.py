@@ -206,12 +206,13 @@ def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
     arrangement, so Jensen's inequality for convex g bounds the sum over rows
     of g(h) from below. Returns None for a custom aggregation, and for a
     custom transform, whose declared convexity is never checked: for a
-    concave g the inequality reverses.
+    concave g the inequality reverses. The column means are taken over the
+    provenance marginals, so the bound does not depend on the arrangement.
     """
     if cost.agg.kind == "custom" or cost.transform.form == "custom":
         return None
     _check_arity(X, cost.d)
-    means = [np.mean(c, keepdims=True) for c in X.columns]
+    means = [np.mean(m.values, keepdims=True) for m in X.provenance]
     return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
 
 
