@@ -401,7 +401,8 @@ class TestUpperStart:
 # and, per n, how far above it, relative): the exponential case may end
 # lower, and above by at most 1e-7 at n=500, 2e-8 at n=1000 and 1e-9 at
 # n=4000 (at seeds 1-3 it lands up to 7.1e-8, 1.5e-8 and 3.4e-10 above,
-# against a bracket width near 1e-2); the Pareto cases agree to float noise
+# against bracket widths of 8.5e-2, 4.4e-2 and 1.1e-2); the Pareto cases
+# agree to float noise
 HARD_SIZES = (500, 1000, 4000)
 HARD_TAILS = [
     (
