@@ -14,9 +14,12 @@ supermodular costs).
 Unbounded tails are truncated automatically (a fixed tail mass of 1e-5 is
 removed per unbounded side) unless the caller opts out; the applied windows are
 echoed in the result so runs are auditable. For sum and weighted-sum
-aggregations under a built-in transform each side also reports its Jensen
-bound; a side whose best run reaches it is certified optimal on its grid: the
-run stops at that sweep and the lower side skips its remaining restarts.
+aggregations under a built-in transform each side also reports its
+certificate: the Jensen bound if its first run reaches it, else the
+majorization bound of :func:`rabounds.ra_core.lower_bound`, and the form that
+gave it. A side whose best run reaches its certificate is certified optimal on
+its grid: the run stops at that sweep and the lower side skips its remaining
+restarts.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 # RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper.
 _SIDE_FIELDS = (
     "converged", "sweeps", "certified", "restarts_run", "stop_reason", "sweeps_total",
+    "bound_form",
 )
 
 
@@ -53,10 +57,14 @@ class BoundsResult:
     probability window actually used per marginal (None when untouched), with
     ``auto_truncated`` flagging the windows this call added itself.
 
-    ``bound_lower`` / ``bound_upper`` are the Jensen bounds of the two grids
-    divided by n (None for a custom aggregation or transform): no arrangement
-    of the grid goes below them. ``certified_*`` says the side's estimate is
-    the optimum of its grid. ``restarts_run_lower`` counts how many of the
+    ``bound_lower`` / ``bound_upper`` are the certificates of the two grids
+    divided by n (None for a custom aggregation or transform): the Jensen
+    bound where the side's first run reaches it, else the strongest form of
+    :func:`rabounds.ra_core.lower_bound`. No arrangement of the grid goes
+    below them. ``bound_form_*`` names the form that gave ``bound_*``
+    (``"jensen"``, ``"single_column"`` or ``"symmetric_split"``; None with no
+    bound). ``certified_*`` says the side's estimate is the optimum of its
+    grid. ``restarts_run_lower`` counts how many of the
     ``restarts`` starts ran before that was known; the upper side ignores
     ``restarts`` and ``seed``, so ``restarts_run_upper`` is always 1.
 
@@ -97,6 +105,8 @@ class BoundsResult:
     stop_reason_upper: str
     sweeps_total_lower: int
     sweeps_total_upper: int
+    bound_form_lower: Optional[str]
+    bound_form_upper: Optional[str]
 
 
 def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_truncate: bool):
@@ -162,12 +172,12 @@ def estimate_inf(
     the comonotonic arrangement and rearranges with up to ``restarts`` seeded
     starting points; it stops restarting once its best run is certified
     optimal (see :func:`rabounds.ra_core.run_ra_restarts`). The upper side
-    discretizes on the upper grid and runs once (``restarts=1``, with the
-    upper grid's Jensen bound) from the lower winner's ranks: in each column
+    discretizes on the upper grid and runs once (``restarts=1``, certified
+    the same way) from the lower winner's ranks: in each column
     the row holding the k-th smallest lower value (ties by row index) gets
-    the k-th smallest upper value. It ignores ``restarts`` and ``seed``. Each side's objective is scaled by 1/n. The bracket
-    property needs a componentwise increasing cost; anything else is
-    rejected.
+    the k-th smallest upper value. It ignores ``restarts`` and ``seed``.
+    Each side's objective is scaled by 1/n. The bracket property needs a
+    componentwise increasing cost; anything else is rejected.
     """
     prepared, windows, auto_flags = _prepare_specs(specs, cost, auto_truncate)
     if not cost.agg.componentwise_increasing:

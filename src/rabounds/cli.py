@@ -98,6 +98,8 @@ CSV_COLUMNS = [
     "theorem_check",
     "bound_lower",
     "bound_upper",
+    "bound_form_lower",
+    "bound_form_upper",
     "certified_lower",
     "certified_upper",
     "restarts_run_lower",

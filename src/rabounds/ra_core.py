@@ -21,10 +21,15 @@ starting arrangements and keep the best result.
 
 For sum and weighted-sum aggregations the row mean of h is the same for every
 arrangement, so by Jensen ``n * g(mean h)`` bounds every objective from below
-for the built-in convex transforms (:func:`jensen_bound`). A run that reaches
-this bound is optimal: given the bound, a run stops after the first sweep
-whose objective certifies, and restarts stop once the best run is certified.
-:class:`RaResult` says why each run stopped and whether it is certified.
+for the built-in convex transforms (:func:`jensen_bound`). The row aggregates
+of every arrangement also majorize a vector built from the columns' sorted
+values alone, which by Karamata gives a bound at least as strong
+(:func:`lower_bound`). A run that reaches its bound is optimal: given the
+bound, a run stops after the first sweep whose objective certifies, and
+restarts stop once the best run is certified. :func:`run_ra_restarts` gives
+its first start the Jensen bound and computes the majorization bound only if
+that run is not certified. :class:`RaResult` says why each run stopped and
+whether it is certified.
 """
 
 from __future__ import annotations
@@ -56,15 +61,17 @@ __all__ = [
     "shuffle_columns",
     "run_ra_restarts",
     "jensen_bound",
+    "lower_bound",
     "CERTIFY_RTOL",
 ]
 
 DEFAULT_MAX_SWEEPS = 100
 
 # A run certifies when its objective is within CERTIFY_RTOL * (1 + |bound|)
-# of the Jensen bound. Float noise between the objective and the bound stayed
-# below 1.4e-14 relative up to d=100, while the smallest real gap seen was
-# 2.1e-8 (acceptance criterion 7's lower grid), so 1e-12 separates the two.
+# of its bound. Float noise between the objective and the bound stayed below
+# 1.4e-14 relative up to d=100, with either bound, while the smallest real
+# gap seen is 7e-8 (3 x Exp(1) under power 2 on the n=1000 lower grid, against
+# the strongest form of lower_bound), so 1e-12 separates the two.
 CERTIFY_RTOL = 1e-12
 
 
@@ -139,9 +146,12 @@ class RaResult:
     """Outcome of a rearrangement run.
 
     ``objective`` is the plain sum over rows (no 1/n factor). ``bound`` is
-    the lower bound on every objective the run was given (None without one;
-    :func:`run_ra_restarts` gives :func:`jensen_bound`). ``stop_reason``
-    says why the run ended, checked after each sweep in this order:
+    the lower bound on every objective the run was given (None without one):
+    :func:`run_ra_restarts` gives :func:`jensen_bound` if its first run
+    reaches it, else :func:`lower_bound`. ``bound_form`` names the form of
+    :func:`lower_bound` that gave ``bound`` (``"jensen"`` for the Jensen
+    bound); :func:`run_ra` leaves it None. ``stop_reason`` says why the run
+    ended, checked after each sweep in this order:
 
     * ``"fixed_point"``: a full sweep changed no column, so the matrix is in
       the oppositely-ordered fixed-point set;
@@ -166,6 +176,7 @@ class RaResult:
     sweeps_total: int
     bound: Optional[float] = None
     restarts_run: int = 1
+    bound_form: Optional[str] = None
 
     @property
     def converged(self) -> bool:
@@ -214,6 +225,132 @@ def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
     _check_arity(X, cost.d)
     means = [np.mean(m.values, keepdims=True) for m in X.provenance]
     return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
+
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """``[0, a[0], a[0]+a[1], ...]``, compensated for rounding.
+
+    ``np.cumsum`` adds left to right, so the rounding error of each addition
+    is recovered exactly (Knuth's TwoSum) and the running sum of those
+    errors is added back: every prefix is then within a few ulps of exact.
+    """
+    c = np.empty(a.size + 1)
+    c[0] = 0.0
+    prev, total = c[:-1], c[1:]
+    np.cumsum(a, out=total)
+    step = total - prev
+    err = total - step
+    np.subtract(prev, err, out=err)
+    err += np.subtract(a, step, out=step)
+    total += np.cumsum(err, out=err)
+    return c
+
+
+def _concave_hull(y: np.ndarray) -> np.ndarray:
+    """Vertices of the least concave majorant of the points ``(m, y[m])``.
+
+    Each vectorized pass drops every point on or below the chord of its
+    neighbours among the points left: such a point is no vertex, and no
+    vertex is ever dropped. A pass that drops nothing leaves a concave
+    polyline, which is the majorant. Once a pass drops less than an eighth
+    of the points, a monotone chain finishes over the points left, so the
+    work stays O(n) where each pass would shed only a few points.
+    """
+    idx = np.arange(y.size)
+    while idx.size > 2:
+        dx = np.diff(idx)
+        dy = np.diff(y[idx])
+        keep = dy[:-1] * dx[1:] > dy[1:] * dx[:-1]
+        if keep.all():
+            return idx
+        before = idx.size
+        idx = idx[np.concatenate(([True], keep, [True]))]
+        if idx.size > before - before // 8:
+            break
+    hx, hy = [], []
+    for x, v in zip(idx.tolist(), y[idx].tolist()):
+        while len(hx) > 1 and (hy[-1] - hy[-2]) * (x - hx[-1]) <= (v - hy[-1]) * (hx[-1] - hx[-2]):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(v)
+    return np.array(hx)
+
+
+def _majorant_value(L: np.ndarray, transform) -> float:
+    """``sum g(s*)`` with ``s*`` the slopes of the least concave majorant of L.
+
+    The majorant is piecewise linear, so each hull segment adds its length
+    times g of its slope.
+    """
+    hull = _concave_hull(L)
+    lengths = np.diff(hull)
+    slopes = np.diff(L[hull]) / lengths
+    return float(np.sum(lengths * eval_g_rows(transform, slopes)))
+
+
+def lower_bound(
+    X: ArrangementMatrix, cost: CostFunction
+) -> Tuple[Optional[float], Optional[str]]:
+    """The best majorization lower bound on every objective, and its form.
+
+    Let ``P_m`` be the sum of the m largest row aggregates of any
+    arrangement, and ``T_i(k)`` / ``B_i(k)`` the sums of the k largest /
+    smallest values of ``w_i * column_i``. For a split ``k_1 + ... + k_d <=
+    m``, some m rows hold the top ``k_i`` values of every column, so
+    ``P_m >= L_m = sum_i T_i(k_i) + B_i(m - k_i)``; the mirror image bounds
+    the bottom ``n - m`` rows from above, so ``P_m >= sum_i`` of the values
+    ranked ``k_i .. k_i + m - 1`` from the bottom, for ``k_1 + ... + k_d <=
+    n - m``. P is concave, so it lies above the least concave majorant of
+    L: the row aggregates majorize its slopes ``s*``, and Karamata gives
+    ``objective >= sum g(s*)`` for every convex g. The forms, each a family
+    of splits, in the order that wins ties:
+
+    * ``"jensen"``: :func:`jensen_bound` (L is the chord ``m * total / n``);
+    * ``"single_column"``: ``k_i = m`` for one column, the best column at
+      each m (its mirror is the same split);
+    * ``"symmetric_split"``, when every weighted column holds the same
+      values: ``j`` columns take ``k = m // j`` each, for every j, and the
+      mirror with ``k = (n - m) // j``; it includes the single column.
+
+    The bound holds for every coupling of the column marginals, not only
+    for n-row arrangements. Returns ``(None, None)`` where
+    :func:`jensen_bound` does. Column values are taken from the provenance
+    marginals, and prefix sums are built one column at a time.
+    """
+    best = jensen_bound(X, cost)
+    if best is None:
+        return None, None
+    form = "jensen"
+    n, d = X.n, X.d
+    low = np.zeros(n + 1)  # sum_i B_i(m)
+    gain = np.full(n + 1, -np.inf)  # max_i T_i(m) - B_i(m)
+    first = None
+    identical = True
+    for w, marginal in zip(cost.agg.weights, X.provenance):
+        a = marginal.values if w == 1.0 else w * marginal.values
+        first = a if first is None else first
+        identical = identical and np.array_equal(a, first)
+        c = _prefix_sums(a)
+        low += c
+        top = np.subtract(c[-1], c[::-1])
+        np.maximum(gain, np.subtract(top, c, out=top), out=gain)
+    single = low + gain
+    candidates = [("single_column", single)]
+    if identical:  # c is every column's prefix sums
+        m = np.arange(n + 1)
+        split = single.copy()
+        for j in range(2, d + 1):
+            k = m // j
+            np.maximum(split, j * (c[-1] - c[n - k] + c[m - k]) + (d - j) * c, out=split)
+            k = (n - m) // j
+            np.maximum(split, j * (c[k + m] - c[k]) + (d - j) * c, out=split)
+        candidates.append(("symmetric_split", split))
+    for name, L in candidates:
+        value = _majorant_value(L, cost.transform)
+        if value > best:
+            best, form = value, name
+    return best, form
 
 
 def partial_aggregate_column(
@@ -373,18 +510,24 @@ def run_ra_restarts(
 
     Restart r >= 1 shuffles X0 with a seed derived from (seed, r); ties on
     the objective keep the earliest restart, so the result is deterministic.
-    Every start is given :func:`jensen_bound`, computed once, so each run
-    stops at its first certified sweep (see :func:`run_ra`). Restarts stop
-    once the best run is certified (see :class:`RaResult`): a later restart
-    could win only by float noise. The result adds ``restarts_run`` and
-    ``sweeps_total`` to the best run's.
+    The first start is given :func:`jensen_bound`. If that run is not
+    certified, :func:`lower_bound` is computed once, the first run is checked
+    against it, and every further start is given it, so each run stops at
+    its first certified sweep (see :func:`run_ra`). Restarts stop once the
+    best run is certified (see :class:`RaResult`): a later restart could win
+    only by float noise. The result adds ``restarts_run``, ``sweeps_total``
+    and the ``bound_form`` of its bound to the best run's.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     bound = jensen_bound(X0, cost)
+    form = None if bound is None else "jensen"
     best = run_ra(X0, cost, max_sweeps=max_sweeps, bound=bound)
+    if bound is not None and not best.certified:
+        bound, form = lower_bound(X0, cost)
+        best = replace(best, bound=bound)
     restarts_run = 1
     sweeps_total = best.sweeps
     for r in range(1, restarts):
@@ -398,4 +541,6 @@ def run_ra_restarts(
         sweeps_total += candidate.sweeps
         if candidate.objective < best.objective:
             best = candidate
-    return replace(best, restarts_run=restarts_run, sweeps_total=sweeps_total)
+    return replace(
+        best, restarts_run=restarts_run, sweeps_total=sweeps_total, bound_form=form
+    )

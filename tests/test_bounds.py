@@ -451,3 +451,43 @@ class TestUpperAgainstRestartedUpperGrid:
             assert getattr(r, f"{name}_lower") == getattr(old["lower"], name)
         want = old["upper"].objective / n
         assert -below <= (r.upper_estimate - want) / abs(want) <= above
+
+
+class TestStrongerCertificate:
+    """Where Jensen leaves a gap, the majorization bound of
+    :func:`rabounds.ra_core.lower_bound` still proves the first run optimal."""
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_criterion_7_certifies_after_one_run_per_side(self, n):
+        cost = CostFunction(weighted_sum([0.5, 0.2, 0.3]), stop_loss(0.3))
+        specs = [uniform(0, 0.4), uniform(0.1, 0.5), uniform(0, 1)]
+        r = estimate_inf(specs, cost, n=n, restarts=3, seed=20260809)
+        assert (r.certified_lower, r.certified_upper) == (True, True)
+        assert (r.restarts_run_lower, r.restarts_run_upper) == (1, 1)
+        assert (r.bound_form_lower, r.bound_form_upper) == ("single_column", "jensen")
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize(
+        "case, certified",
+        [(HARD_TAILS[0], False), (HARD_TAILS[1], True), (HARD_TAILS[2], True)],
+        ids=["exp1_power2", "pareto1.5_stop_loss12", "pareto2_d10_stop_loss30"],
+    )
+    def test_hard_cases_at_the_benchmark_size(self, case, certified, seed):
+        specs, cost = case[:2]
+        r = estimate_inf(specs, cost, n=4000, restarts=3, seed=seed)
+        assert r.certified_lower == certified
+        assert r.restarts_run_lower == (1 if certified else 3)
+        assert r.bound_form_lower == "symmetric_split"
+
+    def test_bound_form_is_the_side_runs_form(self):
+        from rabounds.ra_core import lower_bound, run_ra_restarts
+
+        specs, cost = [exponential(1)] * 3, CostFunction(sum_agg(3), power(2))
+        r = estimate_inf(specs, cost, n=200, restarts=3, seed=1)
+        lower = ArrangementMatrix.comonotonic(_grid(specs, 200, "lower"))
+        res = run_ra_restarts(lower, cost, restarts=3, seed=1)
+        assert r.bound_form_lower == res.bound_form == lower_bound(lower, cost)[1]
+        assert r.bound_lower == res.bound / 200
+        specs, cost, n, restarts, seed = _custom_product()
+        r = estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
+        assert (r.bound_form_lower, r.bound_form_upper) == (None, None)

@@ -1,6 +1,7 @@
 """Tests for arrangement matrices and the rearrangement loop."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from rabounds import (
     is_in_opposite_set,
     is_oppositely_ordered,
     objective,
+    pareto,
     partial_aggregate_column,
     power,
     rearrange_column,
@@ -33,12 +35,13 @@ from rabounds import (
     sum_agg,
     uniform,
     weighted_sum,
+    within_budget,
 )
 from rabounds import ra_core
 from rabounds.cli import parse_config
 from rabounds.costfn import custom_agg, eval_h_rows, eval_partial_rows, validate_cost
 from rabounds.marginals import DiscreteMarginal, truncate_unbounded_sides
-from rabounds.ra_core import CERTIFY_RTOL, jensen_bound
+from rabounds.ra_core import CERTIFY_RTOL, jensen_bound, lower_bound
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
 W523 = weighted_sum([0.5, 0.2, 0.3])
@@ -391,13 +394,14 @@ class TestCertificate:
         assert abs(res.objective - full) <= CERTIFY_RTOL * (1.0 + abs(full))
 
     def test_small_real_gap_is_not_certified(self):
-        # criterion 7's lower grid: the best run stays about 2e-6 above the bound
-        specs = [uniform(0, 0.4), uniform(0.1, 0.5), uniform(0, 1)]
-        X0 = grid_matrix(specs, 10_000)
-        cost = CostFunction(W523, stop_loss(0.3))
+        # exp1_power2's lower grid: the best run stays about 7e-8 above the
+        # strongest bound, far beyond float noise
+        X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 1000)
+        cost = CostFunction(sum_agg(3), power(2))
         res = run_ra_restarts(X0, cost, restarts=3, seed=1)
         assert not res.certified and res.restarts_run == 3
-        assert res.objective > jensen_bound(X0, cost) * (1 + 1e-7)
+        assert (res.bound, res.bound_form) == lower_bound(X0, cost)
+        assert res.objective > res.bound * (1 + 1e-8)
 
 
 PORTFOLIO = Path(__file__).resolve().parents[1] / "demos" / "portfolio.cfg"
@@ -457,7 +461,12 @@ class TestStopReason:
 
         monkeypatch.setattr(ra_core, "run_ra", recording)
         res = run_ra_restarts(X0, cost, restarts=3, seed=1)
-        assert [bound for bound, _ in runs] == [jensen_bound(X0, cost)] * 3
+        # the first start gets Jensen; once it is not certified, the later
+        # starts get the stronger bound
+        strong, form = lower_bound(X0, cost)
+        assert strong > jensen_bound(X0, cost)
+        assert [bound for bound, _ in runs] == [jensen_bound(X0, cost)] + [strong] * 2
+        assert (res.bound, res.bound_form) == (strong, form)
         assert res.restarts_run == 3
         assert res.sweeps_total == sum(sweeps for _, sweeps in runs)
 
@@ -512,6 +521,98 @@ class TestObjectiveCalls:
         res = run_ra(X0, cost)
         assert res.sweeps > 1
         assert len(calls) == 1
+
+
+def reference_hull_holds(y, hull):
+    """``hull`` is the least concave majorant of ``(m, y[m])``: a concave
+    polyline through some of the points, from the first to the last, that
+    lies on or above every point."""
+    assert hull[0] == 0 and hull[-1] == y.size - 1
+    assert np.all(np.diff(hull) > 0)
+    slopes = np.diff(y[hull]) / np.diff(hull)
+    assert np.all(np.diff(slopes) < 0)
+    over = np.interp(np.arange(y.size), hull, y[hull]) - y
+    assert over.min() >= -1e-12 * (1.0 + np.abs(y).max())
+
+
+LOWER_BOUND_FORMS = ("jensen", "single_column", "symmetric_split")
+WIDE_D100 = ([pareto(2.0)] * 100, CostFunction(sum_agg(100), stop_loss(180.0)))
+
+
+class TestLowerBound:
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=2, max_value=3),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([identity(), stop_loss(1.0), stop_loss(2.5), power(2.0)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_between_jensen_and_the_exhaustive_minimum(
+        self, n, d, identical, unit, transform, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # dyadic weights and values on a coarse grid: ties are common, and
+        # identical weighted columns stay identical after the division
+        w = np.ones(d) if unit else rng.choice([0.5, 1.0, 2.0], size=d)
+        cols = rng.integers(0, 5, size=(d, n)) / 2.0
+        if identical:
+            cols = np.array([cols[0] / wi for wi in w])
+        cost = CostFunction(weighted_sum(w), transform)
+        X = matrix(*cols)
+        value, form = lower_bound(X, cost)
+        exact, _ = brute_force_min(X, cost)
+        assert form in LOWER_BOUND_FORMS
+        assert jensen_bound(X, cost) <= value <= exact + 1e-12 * (1.0 + abs(exact))
+        # a coupling that puts mass 1/(2n) on each row: every column repeated
+        if within_budget(2 * n, d, 50_000):
+            doubled, _ = brute_force_min(matrix(*np.hstack([cols, cols])), cost, budget=50_000)
+            assert 2 * value <= doubled + 1e-12 * (1.0 + abs(doubled))
+
+    def test_none_where_jensen_gives_none(self):
+        X = matrix([1, 2, 3], [1, 2, 3])
+        assert lower_bound(X, CostFunction(custom_sum2(), identity())) == (None, None)
+        assert lower_bound(X, CostFunction(sum_agg(2), custom_transform(np.sqrt))) == (None, None)
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    @pytest.mark.parametrize("case", ["exponentials", "wide_d100"])
+    def test_float_noise_far_inside_the_tolerance(self, case, kind):
+        # where Jensen already certifies the run, a stronger form may only
+        # differ from the certified objective by float noise
+        if case == "exponentials":
+            X0, cost = portfolio_grid("exponentials", 100_000, kind)
+        else:
+            specs, cost = WIDE_D100
+            X0 = grid_matrix([truncate_unbounded_sides(s) for s in specs], 1000, kind)
+        res = run_ra(X0, cost, bound=jensen_bound(X0, cost))
+        assert res.certified
+        value, _ = lower_bound(X0, cost)
+        assert abs(value - res.objective) <= CERTIFY_RTOL / 100 * (1.0 + abs(res.objective))
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hull_is_the_least_concave_majorant(self, values):
+        y = np.asarray(values, dtype=float)
+        reference_hull_holds(y, ra_core._concave_hull(y))
+
+    def test_hull_that_sheds_one_point_per_pass(self):
+        # a concave arc closed by a high last point: each neighbour-chord
+        # pass drops only the arc's last point, so the monotone chain ends it
+        y = np.sqrt(np.arange(20_001.0))
+        y[-1] = 1e4
+        hull = ra_core._concave_hull(y)
+        reference_hull_holds(y, hull)
+        assert hull.size < 200
+
+    def test_prefix_sums_are_compensated(self):
+        a = np.full(100_000, 0.1)
+        a[0] = 1e8
+        c = ra_core._prefix_sums(a)
+        exact = np.array([math.fsum(a[:k]) for k in (0, 1, 2, 50_000, 100_000)])
+        assert np.array_equal(c[[0, 1, 2, 50_000, 100_000]], exact)
 
 
 # demo 05's product of three growth factors, validated on [0.8, 1.25]
