@@ -329,7 +329,8 @@ def lower_bound(
     identical = True
     for w, marginal in zip(cost.agg.weights, X.provenance):
         a = marginal.values if w == 1.0 else w * marginal.values
-        first = a if first is None else first
+        if first is None:
+            first = a
         identical = identical and np.array_equal(a, first)
         c = _prefix_sums(a)
         low += c
