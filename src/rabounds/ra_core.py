@@ -267,14 +267,22 @@ def _concave_hull(y: np.ndarray) -> np.ndarray:
         idx = idx[np.concatenate(([True], keep, [True]))]
         if idx.size > before - before // 8:
             break
-    hx, hy = [], []
-    for x, v in zip(idx.tolist(), y[idx].tolist()):
-        while len(hx) > 1 and (hy[-1] - hy[-2]) * (x - hx[-1]) <= (v - hy[-1]) * (hx[-1] - hx[-2]):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(v)
-    return np.array(hx)
+    # the stack lives in numpy arrays, read and written through memoryviews:
+    # Python lists of the points would leave the allocator holding their memory
+    xs, ys = memoryview(idx), memoryview(y[idx])
+    hull = np.empty_like(idx)
+    hx, hy = memoryview(hull), memoryview(np.empty(idx.size))
+    top = 0
+    for k in range(idx.size):
+        x, v = xs[k], ys[k]
+        while top > 1 and (
+            (hy[top - 1] - hy[top - 2]) * (x - hx[top - 1])
+            <= (v - hy[top - 1]) * (hx[top - 1] - hx[top - 2])
+        ):
+            top -= 1
+        hx[top], hy[top] = x, v
+        top += 1
+    return hull[:top]
 
 
 def _majorant_value(L: np.ndarray, transform) -> float:
