@@ -59,14 +59,15 @@ class BoundsResult:
 
     ``bound_lower`` / ``bound_upper`` are the certificates of the two grids
     divided by n (None for a custom aggregation or transform): the Jensen
-    bound where the side's first run reaches it, else the strongest form of
+    bound where the side's first run reaches it, else
     :func:`rabounds.ra_core.lower_bound`. No arrangement of the grid goes
-    below them. ``bound_form_*`` names the form that gave ``bound_*``
-    (``"jensen"``, ``"single_column"`` or ``"symmetric_split"``; None with no
-    bound). ``certified_*`` says the side's estimate is the optimum of its
-    grid. ``restarts_run_lower`` counts how many of the
-    ``restarts`` starts ran before that was known; the upper side ignores
-    ``restarts`` and ``seed``, so ``restarts_run_upper`` is always 1.
+    below them. ``bound_form_*`` names the form that gave ``bound_*``:
+    ``"jensen"``, or the grid's one majorization family, ``"single_column"``
+    where the weighted columns differ and ``"symmetric_split"`` where they
+    are identical (None with no bound). ``certified_*`` says the side's
+    estimate is the optimum of its grid. ``restarts_run_lower`` counts how
+    many of the ``restarts`` starts ran before that was known; the upper side
+    ignores ``restarts`` and ``seed``, so ``restarts_run_upper`` is always 1.
 
     ``sweeps_*``, ``converged_*`` and ``stop_reason_*`` describe the winning
     run: ``stop_reason_*`` is ``"fixed_point"`` (then ``converged_*`` is

@@ -71,7 +71,7 @@ DEFAULT_MAX_SWEEPS = 100
 # of its bound. Float noise between the objective and the bound stayed below
 # 1.4e-14 relative up to d=100, with either bound, while the smallest real
 # gap seen is 7e-8 (3 x Exp(1) under power 2 on the n=1000 lower grid, against
-# the strongest form of lower_bound), so 1e-12 separates the two.
+# lower_bound's symmetric split), so 1e-12 separates the two.
 CERTIFY_RTOL = 1e-12
 
 
@@ -285,18 +285,6 @@ def _concave_hull(y: np.ndarray) -> np.ndarray:
     return hull[:top]
 
 
-def _majorant_value(L: np.ndarray, transform) -> float:
-    """``sum g(s*)`` with ``s*`` the slopes of the least concave majorant of L.
-
-    The majorant is piecewise linear, so each hull segment adds its length
-    times g of its slope.
-    """
-    hull = _concave_hull(L)
-    lengths = np.diff(hull)
-    slopes = np.diff(L[hull]) / lengths
-    return float(np.sum(lengths * eval_g_rows(transform, slopes)))
-
-
 def lower_bound(
     X: ArrangementMatrix, cost: CostFunction
 ) -> Tuple[Optional[float], Optional[str]]:
@@ -311,15 +299,17 @@ def lower_bound(
     ranked ``k_i .. k_i + m - 1`` from the bottom, for ``k_1 + ... + k_d <=
     n - m``. P is concave, so it lies above the least concave majorant of
     L: the row aggregates majorize its slopes ``s*``, and Karamata gives
-    ``objective >= sum g(s*)`` for every convex g. The forms, each a family
-    of splits, in the order that wins ties:
+    ``objective >= sum g(s*)`` for every convex g. Each grid takes one
+    family of splits, hence one majorant, and names it:
 
-    * ``"jensen"``: :func:`jensen_bound` (L is the chord ``m * total / n``);
-    * ``"single_column"``: ``k_i = m`` for one column, the best column at
-      each m (its mirror is the same split);
+    * ``"single_column"``, when the weighted columns differ: ``k_i = m`` for
+      one column, the best column at each m (its mirror is the same split);
     * ``"symmetric_split"``, when every weighted column holds the same
       values: ``j`` columns take ``k = m // j`` each, for every j, and the
-      mirror with ``k = (n - m) // j``; it includes the single column.
+      mirror with ``k = (n - m) // j``; ``j = 1`` is the single column.
+
+    The form is ``"jensen"`` unless the majorant's value is strictly greater
+    than :func:`jensen_bound` (L the chord ``m * total / n``).
 
     The bound holds for every coupling of the column marginals, not only
     for n-row arrangements. Returns ``(None, None)`` where
@@ -329,7 +319,6 @@ def lower_bound(
     best = jensen_bound(X, cost)
     if best is None:
         return None, None
-    form = "jensen"
     n, d = X.n, X.d
     low = np.zeros(n + 1)  # sum_i B_i(m)
     gain = np.full(n + 1, -np.inf)  # max_i T_i(m) - B_i(m)
@@ -344,22 +333,25 @@ def lower_bound(
         low += c
         top = np.subtract(c[-1], c[::-1])
         np.maximum(gain, np.subtract(top, c, out=top), out=gain)
-    single = low + gain
-    candidates = [("single_column", single)]
+    L = low + gain  # the single-column split
+    name = "single_column"
     if identical:  # c is every column's prefix sums
         m = np.arange(n + 1)
-        split = single.copy()
         for j in range(2, d + 1):
             k = m // j
-            np.maximum(split, j * (c[-1] - c[n - k] + c[m - k]) + (d - j) * c, out=split)
+            np.maximum(L, j * (c[-1] - c[n - k] + c[m - k]) + (d - j) * c, out=L)
             k = (n - m) // j
-            np.maximum(split, j * (c[k + m] - c[k]) + (d - j) * c, out=split)
-        candidates.append(("symmetric_split", split))
-    for name, L in candidates:
-        value = _majorant_value(L, cost.transform)
-        if value > best:
-            best, form = value, name
-    return best, form
+            np.maximum(L, j * (c[k + m] - c[k]) + (d - j) * c, out=L)
+        name = "symmetric_split"
+    # the majorant is piecewise linear: each hull segment adds its length
+    # times g of its slope
+    hull = _concave_hull(L)
+    lengths = np.diff(hull)
+    slopes = np.diff(L[hull]) / lengths
+    value = float(np.sum(lengths * eval_g_rows(cost.transform, slopes)))
+    if value > best:
+        return value, name
+    return best, "jensen"
 
 
 def partial_aggregate_column(

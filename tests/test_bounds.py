@@ -241,8 +241,9 @@ class TestDeterminism:
 
 class TestCertificate:
     def test_hard_case_runs_every_restart(self):
-        # 3 exponentials under power 2: the Jensen bound sits far below the
-        # optimum, so the lower side runs every restart; the upper side runs once
+        # 3 exponentials under power 2: the lower side's symmetric-split bound
+        # stays short of the optimum (by 7e-8 at n=1e3), so that side runs
+        # every restart; the upper side runs once
         cost = CostFunction(sum_agg(3), power(2))
         r = estimate_inf([exponential(1)] * 3, cost, n=500, restarts=3, seed=1)
         assert (r.certified_lower, r.certified_upper) == (False, False)

@@ -1,7 +1,10 @@
-"""Every name a rabounds module exports resolves, so no deleted name stays exported."""
+"""Every name a rabounds module exports resolves, so no deleted name stays exported.
+
+The same holds for every name the benchmark's tracer patches."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,13 @@ def test_exported_names_resolve(module):
     exported = getattr(mod, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+def test_traced_names_resolve(monkeypatch):
+    # perfbench/tests is not in this suite, so a dropped name would otherwise
+    # surface only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    targets = importlib.import_module("perfbench.tracer").TARGETS
+    assert targets
+    missing = [(m, a) for m, a in targets if not hasattr(importlib.import_module(m), a)]
+    assert missing == []

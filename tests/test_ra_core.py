@@ -395,7 +395,7 @@ class TestCertificate:
 
     def test_small_real_gap_is_not_certified(self):
         # exp1_power2's lower grid: the best run stays about 7e-8 above the
-        # strongest bound, far beyond float noise
+        # symmetric-split bound, far beyond float noise
         X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 1000)
         cost = CostFunction(sum_agg(3), power(2))
         res = run_ra_restarts(X0, cost, restarts=3, seed=1)
@@ -564,11 +564,30 @@ class TestLowerBound:
         value, form = lower_bound(X, cost)
         exact, _ = brute_force_min(X, cost)
         assert form in LOWER_BOUND_FORMS
+        if identical:
+            assert form != "single_column"
         assert jensen_bound(X, cost) <= value <= exact + 1e-12 * (1.0 + abs(exact))
         # a coupling that puts mass 1/(2n) on each row: every column repeated
         if within_budget(2 * n, d, 50_000):
             doubled, _ = brute_force_min(matrix(*np.hstack([cols, cols])), cost, budget=50_000)
             assert 2 * value <= doubled + 1e-12 * (1.0 + abs(doubled))
+
+    def test_one_hull_per_call(self, monkeypatch):
+        # exp1_power2's lower grid: the columns are identical, and the
+        # symmetric split contains the single column, so one majorant serves
+        X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 1000)
+        cost = CostFunction(sum_agg(3), power(2))
+        calls = []
+        original = ra_core._concave_hull
+
+        def counting(y):
+            calls.append(y.size)
+            return original(y)
+
+        monkeypatch.setattr(ra_core, "_concave_hull", counting)
+        value, form = lower_bound(X0, cost)
+        assert form == "symmetric_split" and value > jensen_bound(X0, cost)
+        assert calls == [1001]
 
     def test_none_where_jensen_gives_none(self):
         X = matrix([1, 2, 3], [1, 2, 3])
