@@ -27,7 +27,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .costfn import CostFunction, eval_g_rows, eval_h_rows, eval_partial_rows
+from .costfn import (
+    AggregationSpec,
+    CostFunction,
+    eval_g_rows,
+    eval_h_rows,
+    eval_partial_rows,
+)
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -52,6 +58,9 @@ DEFAULT_BUDGET = 1_000_000
 # a chunk holds _CHUNK_CELLS // n**2 arrangements, which bounds each of its
 # (chunk, n) blocks and their temporaries to _CHUNK_CELLS // n cells
 _CHUNK_CELLS = 1 << 21
+
+# rows in the restricted scan's first predicate batch; each later batch doubles
+_FIRST_BATCH = 64
 
 
 def _check_size(n: int, d: int) -> None:
@@ -98,6 +107,39 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
+def _first_feasible(
+    agg: AggregationSpec, vals: list, obj: np.ndarray, best: float
+) -> int:
+    """Chunk row of the least objective below ``best`` whose arrangement is
+    oppositely ordered, the lowest row among equal objectives; -1 if none.
+
+    Only rows with ``obj < best`` are checked, in ``(objective, row)``
+    order, in batches of 64, 128, ... rows, and the first feasible row
+    ends the search: the predicate sees at most about twice the rows
+    before that row, even when every objective ties. That row is the one
+    ``argmin(where(feasible, obj, inf))`` picks among them.
+    """
+    cand = np.flatnonzero(obj < best)
+    cand = cand[np.argsort(obj[cand], kind="stable")]
+    start, size = 0, _FIRST_BATCH
+    while start < cand.size:
+        rows = cand[start : start + size]
+        sub = [v[rows] for v in vals]
+        feasible = np.ones(rows.size, dtype=bool)
+        for i in range(len(sub)):
+            # the partial is aggregated from the other columns, as in the
+            # loop; deriving it as H - w_i*vals_i cancels catastrophically
+            # on tied values and can flag exact ties as violations
+            part = eval_partial_rows(agg, i, sub[:i] + sub[i + 1 :])
+            feasible &= ~_opposite_order(sub[i], part)[1]
+        hits = np.flatnonzero(feasible)
+        if hits.size:
+            return int(rows[hits[0]])
+        start += size
+        size *= 2
+    return -1
+
+
 def _scan(
     X: ArrangementMatrix,
     cost: CostFunction,
@@ -135,14 +177,11 @@ def _scan(
         if not np.all(np.isfinite(obj)):
             raise ValidationFailed("cost evaluates to a non-finite objective")
         if mode == "min_restricted":
-            feasible = np.ones(hi - lo, dtype=bool)
-            for i in range(d):
-                # the partial is aggregated from the other columns, as in the
-                # loop; deriving it as H - w_i*vals_i cancels catastrophically
-                # on tied values and can flag exact ties as violations
-                part = eval_partial_rows(agg, i, vals[:i] + vals[i + 1 :])
-                feasible &= ~_opposite_order(vals[i], part)[1]
-            obj = np.where(feasible, obj, np.inf)
+            k = _first_feasible(agg, vals, obj, best)
+            if k >= 0:
+                best = float(obj[k])
+                best_flat = lo + k
+            continue
         scored = sign * obj
         k = int(np.argmin(scored))
         if scored[k] < best:
