@@ -16,7 +16,9 @@ itself to skip such a case.
 Every aggregation kind takes one vectorized path that evaluates
 arrangements in chunks through the costfn row functions. The restricted
 minimum runs the rearrangement step's own opposite-order predicate,
-``majorization._opposite_order``, on whole chunks.
+``majorization._opposite_order``, only on arrangements whose objective is
+below the best found so far, in objective order, and stops at the first
+that passes; the result is the same as filtering every arrangement.
 """
 
 from __future__ import annotations
@@ -151,10 +153,13 @@ def _scan(
     mode is "min", "max", or "min_restricted"; returns the value and the
     first arrangement attaining it. Each chunk is a list of d ``(chunk, n)``
     blocks evaluated by the costfn row functions, so every aggregation kind
-    takes this one path; "min_restricted" keeps the rows in which
-    ``_opposite_order`` passes every column against its partial. A chunk
-    holds ``max(1, _CHUNK_CELLS // n**2)`` arrangements; the result does not
-    depend on it.
+    takes this one path. "min_restricted" wants the least objective among
+    rows in which ``_opposite_order`` passes every column against its
+    partial; it runs that check (:func:`_first_feasible`) only on rows below
+    the best so far, in ``(objective, index)`` order, so the value and the
+    arrangement are those of filtering every row and taking the argmin. A
+    chunk holds ``max(1, _CHUNK_CELLS // n**2)`` arrangements; the result
+    does not depend on it.
     """
     total = _check_budget(X, budget)
     n, d = X.n, X.d

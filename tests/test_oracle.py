@@ -31,7 +31,14 @@ from rabounds import (
     within_budget,
 )
 from rabounds import oracle
-from rabounds.costfn import custom_agg, eval_g_rows, eval_h_rows, validate_cost
+from rabounds.costfn import (
+    custom_agg,
+    eval_g_rows,
+    eval_h_rows,
+    eval_partial_rows,
+    validate_cost,
+)
+from rabounds.majorization import _opposite_order
 from rabounds.marginals import DiscreteMarginal
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
@@ -67,6 +74,26 @@ def slow_extremes(cols, cost):
             total += float(eval_g_rows(cost.transform, h)[0])
         lo, hi = min(lo, total), max(hi, total)
     return lo, hi
+
+
+def restricted_reference(X, cost):
+    """The restricted minimum as a filter over every arrangement.
+
+    Evaluates all arrangements in the scan's lexicographic order in one
+    block, checks every column with ``_opposite_order`` and takes the argmin,
+    so ties go to the lowest index. Returns the value, that index and the
+    arrangement's columns.
+    """
+    combos = list(itertools.product(itertools.permutations(range(X.n)), repeat=X.d - 1))
+    vals = [np.tile(X.columns[0], (len(combos), 1))]
+    vals += [X.columns[i][[c[i - 1] for c in combos]] for i in range(1, X.d)]
+    obj = eval_g_rows(cost.transform, eval_h_rows(cost.agg, vals)).sum(axis=1)
+    feasible = np.ones(len(combos), dtype=bool)
+    for i in range(X.d):
+        part = eval_partial_rows(cost.agg, i, vals[:i] + vals[i + 1 :])
+        feasible &= ~_opposite_order(vals[i], part)[1]
+    k = int(np.argmin(np.where(feasible, obj, np.inf)))
+    return float(obj[k]), k, [v[k] for v in vals]
 
 
 class TestBruteForceMin:
@@ -123,19 +150,23 @@ class TestBruteForceMin:
         assert err.value.required == math.factorial(2000)
         assert "at least 10^5735 arrangement evaluations" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "scan",
+        [lambda X, cost: brute_force_min(X, cost)[0], brute_force_min_over_opposite_set],
+        ids=["global", "restricted"],
+    )
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
-    def test_chunking_does_not_change_result(self, chunk, monkeypatch):
+    def test_chunking_does_not_change_result(self, chunk, scan, monkeypatch):
         rng = np.random.default_rng(0)
         X = matrix(*rng.uniform(size=(3, 4)))
         cost = CostFunction(weighted_sum([0.6, 0.3, 0.8]), stop_loss(0.9))
-        baseline, _ = brute_force_min(X, cost)
+        baseline = scan(X, cost)
         # a chunk holds _CHUNK_CELLS // n**2 arrangements, one h call each
         monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk * X.n**2)
         calls = []
         rows = oracle.eval_h_rows
         monkeypatch.setattr(oracle, "eval_h_rows", lambda *a: calls.append(1) or rows(*a))
-        value, _ = brute_force_min(X, cost)
-        assert value == baseline
+        assert scan(X, cost) == baseline
         assert len(calls) == -(-arrangement_count(X.n, X.d) // chunk)
 
     def test_agrees_with_plain_python_enumeration(self):
@@ -260,6 +291,85 @@ class TestRestrictedMin:
             got = brute_force_min_over_opposite_set(X, cost)
             assert got == pytest.approx(best, abs=1e-12)
             assert got == pytest.approx(best_by_definition, abs=1e-12)
+
+
+    @staticmethod
+    def _instances(kind, rng):
+        """Six instances of one kind at d in {2, 3}, n <= 5."""
+        product_cost = validate_cost(PRODUCT3, low=0.8, high=1.25)
+        out = []
+        for t in range(6):
+            d = 2 if t < 2 and kind != "product" else 3
+            n = 5 if t >= 4 else int(rng.integers(2, 5))
+            if kind == "ties":
+                cols = rng.choice([-1.0, -0.5, 0.0, 0.5, 0.5, 1.0], size=(d, n))
+                cost = CostFunction(sum_agg(d), stop_loss(float(rng.integers(-1, d))))
+            elif kind == "untied":
+                cols = rng.uniform(size=(d, n))
+                cost = CostFunction(sum_agg(d), power(2))
+            elif kind == "weighted":
+                cols = rng.choice([0.0, 0.25, 0.5, 1.0], size=(d, n))
+                w = rng.choice([0.25, 0.5, 1.0, 2.0], size=d)
+                cost = CostFunction(weighted_sum(w), stop_loss(float(w.sum() / 2)))
+            else:
+                cols = rng.choice([0.8, 1.0, 1.25], size=(d, n))
+                cost = product_cost
+            out.append((ArrangementMatrix.from_columns(cols), cost))
+        return out
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("kind", ["ties", "untied", "weighted", "product"])
+    def test_scan_matches_filtering_every_arrangement(self, kind, chunk, monkeypatch):
+        # the scan checks the predicate only on rows below the best so far,
+        # in objective order; filtering every row must give the same value
+        # and the same first attaining arrangement, across many chunks too
+        rng = np.random.default_rng(["ties", "untied", "weighted", "product"].index(kind))
+        for X, cost in self._instances(kind, rng):
+            want, _, want_cols = restricted_reference(X, cost)
+            if chunk is not None:
+                monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk * X.n**2)
+            value, arrangement = oracle._scan(X, cost, oracle.DEFAULT_BUDGET, "min_restricted")
+            assert value == want
+            for got, ref in zip(arrangement.columns, want_cols):
+                np.testing.assert_array_equal(got, ref)
+
+    @staticmethod
+    def _count_predicate_rows(monkeypatch):
+        rows = []
+        check = oracle._opposite_order
+        monkeypatch.setattr(
+            oracle, "_opposite_order", lambda x, y: rows.append(x.shape[0]) or check(x, y)
+        )
+        return rows
+
+    def test_predicate_skips_rows_that_cannot_win(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.1, 1.0, size=3)
+        X = matrix(*rng.uniform(size=(3, 5)))
+        cost = CostFunction(weighted_sum(w), stop_loss(float(0.5 * w.sum())))
+        want, _, _ = restricted_reference(X, cost)
+        rows = self._count_predicate_rows(monkeypatch)
+        assert brute_force_min_over_opposite_set(X, cost) == want
+        # filtering every arrangement checks d * 14400 = 43200 rows; here the
+        # first batch of 64 holds a feasible row, so 192 are checked
+        assert arrangement_count(X.n, X.d) == 14400
+        assert sum(rows) <= X.d * arrangement_count(X.n, X.d) // 50
+
+    def test_all_tied_objectives_check_about_twice_the_rows_before_the_first_hit(
+        self, monkeypatch
+    ):
+        # k above every row sum: every objective is 0, so the candidates are
+        # checked in index order and the first feasible one ends the search
+        rng = np.random.default_rng(4)
+        X = matrix(*rng.uniform(size=(3, 5)))
+        cost = CostFunction(sum_agg(3), stop_loss(4.0))
+        want, first, _ = restricted_reference(X, cost)
+        assert want == 0.0 and first == 1879
+        rows = self._count_predicate_rows(monkeypatch)
+        assert brute_force_min_over_opposite_set(X, cost) == want
+        # batches of 64, 128, ... end at most 2 * first + 64 rows in (1984
+        # here, against 14400 when every row is filtered)
+        assert sum(rows) <= X.d * (2 * first + oracle._FIRST_BATCH)
 
 
 class TestComonotonic:
