@@ -292,7 +292,6 @@ class TestRestrictedMin:
             assert got == pytest.approx(best, abs=1e-12)
             assert got == pytest.approx(best_by_definition, abs=1e-12)
 
-
     @staticmethod
     def _instances(kind, rng):
         """Six instances of one kind at d in {2, 3}, n <= 5."""
