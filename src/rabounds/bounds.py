@@ -15,11 +15,10 @@ Unbounded tails are truncated automatically (a fixed tail mass of 1e-5 is
 removed per unbounded side) unless the caller opts out; the applied windows are
 echoed in the result so runs are auditable. For sum and weighted-sum
 aggregations under a built-in transform each side also reports its
-certificate: the Jensen bound if its first run reaches it, else the
-majorization bound of :func:`rabounds.ra_core.lower_bound`, and the form that
-gave it. A side whose best run reaches its certificate is certified optimal on
-its grid: the run stops at that sweep and the lower side skips its remaining
-restarts.
+certificate, the majorization bound of :func:`rabounds.ra_core.lower_bound`,
+and the form that gave it. A side whose best run reaches its certificate is
+certified optimal on its grid: the run stops at that sweep and the lower side
+skips its remaining restarts.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ class BoundsResult:
     ``auto_truncated`` flagging the windows this call added itself.
 
     ``bound_lower`` / ``bound_upper`` are the certificates of the two grids
-    divided by n (None for a custom aggregation or transform): the Jensen
-    bound where the side's first run reaches it, else
+    divided by n (None for a custom aggregation or transform), from
     :func:`rabounds.ra_core.lower_bound`. No arrangement of the grid goes
     below them. ``bound_form_*`` names the form that gave ``bound_*``:
     ``"jensen"``, or the grid's one majorization family, ``"single_column"``

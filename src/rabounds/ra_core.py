@@ -27,9 +27,8 @@ values alone, which by Karamata gives a bound at least as strong
 (:func:`lower_bound`). A run that reaches its bound is optimal: given the
 bound, a run stops after the first sweep whose objective certifies, and
 restarts stop once the best run is certified. :func:`run_ra_restarts` gives
-its first start the Jensen bound and computes the majorization bound only if
-that run is not certified. :class:`RaResult` says why each run stopped and
-whether it is certified.
+every start the majorization bound. :class:`RaResult` says why each run
+stopped and whether it is certified.
 """
 
 from __future__ import annotations
@@ -147,11 +146,10 @@ class RaResult:
 
     ``objective`` is the plain sum over rows (no 1/n factor). ``bound`` is
     the lower bound on every objective the run was given (None without one):
-    :func:`run_ra_restarts` gives :func:`jensen_bound` if its first run
-    reaches it, else :func:`lower_bound`. ``bound_form`` names the form of
-    :func:`lower_bound` that gave ``bound`` (``"jensen"`` for the Jensen
-    bound); :func:`run_ra` leaves it None. ``stop_reason`` says why the run
-    ended, checked after each sweep in this order:
+    :func:`run_ra_restarts` gives :func:`lower_bound`. ``bound_form`` names
+    the form of :func:`lower_bound` that gave ``bound``; :func:`run_ra`
+    leaves it None. ``stop_reason`` says why the run ended, checked after
+    each sweep in this order:
 
     * ``"fixed_point"``: a full sweep changed no column, so the matrix is in
       the oppositely-ordered fixed-point set;
@@ -285,6 +283,33 @@ def _concave_hull(y: np.ndarray) -> np.ndarray:
     return hull[:top]
 
 
+def _split_curve(X: ArrangementMatrix, cost: CostFunction) -> Tuple[np.ndarray, str]:
+    """The curve ``L`` of :func:`lower_bound` and the name of its split family.
+    Identical weighted columns share one set of prefix sums."""
+    n, d = X.n, X.d
+    pairs = zip(cost.agg.weights, X.provenance)
+    cols = [m.values if w == 1.0 else w * m.values for w, m in pairs]
+    if all(np.array_equal(a, cols[0]) for a in cols[1:]):
+        c = _prefix_sums(cols[0])
+        m = np.arange(n + 1)
+        L = np.full(n + 1, -np.inf)
+        for j in range(1, d + 1):
+            rest = (d - j) * c
+            k = m // j
+            np.maximum(L, j * (c[-1] - c[n - k] + c[m - k]) + rest, out=L)
+            k = (n - m) // j
+            np.maximum(L, j * (c[k + m] - c[k]) + rest, out=L)
+        return L, "symmetric_split"
+    low = np.zeros(n + 1)  # sum_i B_i(m)
+    gain = np.full(n + 1, -np.inf)  # max_i T_i(m) - B_i(m)
+    for a in cols:
+        c = _prefix_sums(a)
+        low += c
+        top = np.subtract(c[-1], c[::-1])
+        np.maximum(gain, np.subtract(top, c, out=top), out=gain)
+    return low + gain, "single_column"
+
+
 def lower_bound(
     X: ArrangementMatrix, cost: CostFunction
 ) -> Tuple[Optional[float], Optional[str]]:
@@ -308,50 +333,32 @@ def lower_bound(
       values: ``j`` columns take ``k = m // j`` each, for every j, and the
       mirror with ``k = (n - m) // j``; ``j = 1`` is the single column.
 
-    The form is ``"jensen"`` unless the majorant's value is strictly greater
-    than :func:`jensen_bound` (L the chord ``m * total / n``).
-
-    The bound holds for every coupling of the column marginals, not only
-    for n-row arrangements. Returns ``(None, None)`` where
-    :func:`jensen_bound` does. Column values are taken from the provenance
-    marginals, and prefix sums are built one column at a time.
+    For ``identity`` the value is ``L_n``, Jensen's, so no L is built. For
+    ``stop_loss k`` it is ``max_m (L_m - k*m)``: the slopes decrease, so
+    ``sum (s* - k)+`` is the majorant's largest ``C_m - k*m``, and a linear
+    function peaks at a hull vertex, a point of L. Only ``power`` builds the
+    hull. The value is never below :func:`jensen_bound`, and the form is
+    ``"jensen"`` wherever the value certifies against it, so float noise
+    does not rename it. The bound holds for every coupling of the column
+    marginals; ``(None, None)`` where :func:`jensen_bound` gives None.
     """
-    best = jensen_bound(X, cost)
-    if best is None:
+    jensen = jensen_bound(X, cost)
+    if jensen is None:
         return None, None
-    n, d = X.n, X.d
-    low = np.zeros(n + 1)  # sum_i B_i(m)
-    gain = np.full(n + 1, -np.inf)  # max_i T_i(m) - B_i(m)
-    first = None
-    identical = True
-    for w, marginal in zip(cost.agg.weights, X.provenance):
-        a = marginal.values if w == 1.0 else w * marginal.values
-        if first is None:
-            first = a
-        identical = identical and np.array_equal(a, first)
-        c = _prefix_sums(a)
-        low += c
-        top = np.subtract(c[-1], c[::-1])
-        np.maximum(gain, np.subtract(top, c, out=top), out=gain)
-    L = low + gain  # the single-column split
-    name = "single_column"
-    if identical:  # c is every column's prefix sums
-        m = np.arange(n + 1)
-        for j in range(2, d + 1):
-            k = m // j
-            np.maximum(L, j * (c[-1] - c[n - k] + c[m - k]) + (d - j) * c, out=L)
-            k = (n - m) // j
-            np.maximum(L, j * (c[k + m] - c[k]) + (d - j) * c, out=L)
-        name = "symmetric_split"
-    # the majorant is piecewise linear: each hull segment adds its length
-    # times g of its slope
-    hull = _concave_hull(L)
-    lengths = np.diff(hull)
-    slopes = np.diff(L[hull]) / lengths
-    value = float(np.sum(lengths * eval_g_rows(cost.transform, slopes)))
-    if value > best:
-        return value, name
-    return best, "jensen"
+    g = cost.transform
+    if g.form == "identity":
+        return jensen, "jensen"
+    L, name = _split_curve(X, cost)
+    if g.form == "stop_loss":
+        value = float(np.max(L - g.param * np.arange(L.size)))
+    else:
+        # the majorant is piecewise linear: each hull segment adds its
+        # length times g of its slope
+        hull = _concave_hull(L)
+        lengths = np.diff(hull)
+        slopes = np.diff(L[hull]) / lengths
+        value = float(np.sum(lengths * eval_g_rows(g, slopes)))
+    return max(value, jensen), "jensen" if _certifies(value, jensen) else name
 
 
 def partial_aggregate_column(
@@ -511,24 +518,19 @@ def run_ra_restarts(
 
     Restart r >= 1 shuffles X0 with a seed derived from (seed, r); ties on
     the objective keep the earliest restart, so the result is deterministic.
-    The first start is given :func:`jensen_bound`. If that run is not
-    certified, :func:`lower_bound` is computed once, the first run is checked
-    against it, and every further start is given it, so each run stops at
-    its first certified sweep (see :func:`run_ra`). Restarts stop once the
-    best run is certified (see :class:`RaResult`): a later restart could win
-    only by float noise. The result adds ``restarts_run``, ``sweeps_total``
-    and the ``bound_form`` of its bound to the best run's.
+    :func:`lower_bound` is computed once, before the first start, and given
+    to every start, so each run stops at its first certified sweep (see
+    :func:`run_ra`). Restarts stop once the best run is certified (see
+    :class:`RaResult`): a later restart could win only by float noise. The
+    result adds ``restarts_run``, ``sweeps_total`` and the ``bound_form`` of
+    its bound to the best run's.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    bound = jensen_bound(X0, cost)
-    form = None if bound is None else "jensen"
+    bound, form = lower_bound(X0, cost)
     best = run_ra(X0, cost, max_sweeps=max_sweeps, bound=bound)
-    if bound is not None and not best.certified:
-        bound, form = lower_bound(X0, cost)
-        best = replace(best, bound=bound)
     restarts_run = 1
     sweeps_total = best.sweeps
     for r in range(1, restarts):

@@ -480,6 +480,20 @@ class TestStrongerCertificate:
         assert r.restarts_run_lower == (1 if certified else 3)
         assert r.bound_form_lower == "symmetric_split"
 
+    def test_bound_from_the_first_start_stops_the_hard_case_early(self):
+        # the first start gets the symmetric-split bound, so it stops at the
+        # sweep that reaches it instead of going on to its fixed point
+        from rabounds.ra_core import CERTIFY_RTOL, run_ra
+
+        specs, cost = HARD_TAILS[1][:2]
+        n = 4000
+        r = estimate_inf(specs, cost, n=n, restarts=3, seed=11)
+        assert r.stop_reason_lower == "certified" and r.sweeps_lower <= 3
+        full = run_ra(ArrangementMatrix.comonotonic(_grid(specs, n, "lower")), cost)
+        assert full.stop_reason == "fixed_point" and full.sweeps > r.sweeps_lower
+        want = full.objective / n
+        assert abs(r.lower_estimate - want) <= CERTIFY_RTOL * (1.0 + abs(want))
+
     def test_bound_form_is_the_side_runs_form(self):
         from rabounds.ra_core import lower_bound, run_ra_restarts
 

@@ -544,8 +544,8 @@ class TestMain:
 
     def test_flags_edit_the_config(self, tmp_path):
         body = (
-            "marginal = uniform 0 1\nmarginal = exponential 1\naggregation = sum\n"
-            "transform = stop_loss 1\nrestarts = 2\n"
+            "marginal = uniform 0 1\nmarginal = exponential 1\nmarginal = exponential 2\n"
+            "aggregation = sum\ntransform = power 2\nrestarts = 2\n"
         )
         flagged = tmp_path / "flagged.cfg"
         flagged.write_text(

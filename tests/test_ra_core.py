@@ -461,11 +461,11 @@ class TestStopReason:
 
         monkeypatch.setattr(ra_core, "run_ra", recording)
         res = run_ra_restarts(X0, cost, restarts=3, seed=1)
-        # the first start gets Jensen; once it is not certified, the later
-        # starts get the stronger bound
+        # the bound is computed once, before the first start, and every start
+        # gets it
         strong, form = lower_bound(X0, cost)
         assert strong > jensen_bound(X0, cost)
-        assert [bound for bound, _ in runs] == [jensen_bound(X0, cost)] + [strong] * 2
+        assert [bound for bound, _ in runs] == [strong] * 3
         assert (res.bound, res.bound_form) == (strong, form)
         assert res.restarts_run == 3
         assert res.sweeps_total == sum(sweeps for _, sweeps in runs)
@@ -567,6 +567,11 @@ class TestLowerBound:
         if identical:
             assert form != "single_column"
         assert jensen_bound(X, cost) <= value <= exact + 1e-12 * (1.0 + abs(exact))
+        if identical:
+            # the identical-column branch reads the weighted columns: the same
+            # columns, weighted beforehand and summed, give the same bound
+            scaled = matrix(*(wi * c for wi, c in zip(w, cols)))
+            assert lower_bound(scaled, CostFunction(sum_agg(d), transform)) == (value, form)
         # a coupling that puts mass 1/(2n) on each row: every column repeated
         if within_budget(2 * n, d, 50_000):
             doubled, _ = brute_force_min(matrix(*np.hstack([cols, cols])), cost, budget=50_000)
@@ -589,25 +594,83 @@ class TestLowerBound:
         assert form == "symmetric_split" and value > jensen_bound(X0, cost)
         assert calls == [1001]
 
+    @given(
+        st.booleans(),
+        st.sampled_from(["below", "inside", "above"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stop_loss_closed_form_is_the_hull_value(self, identical, where, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 400)), int(rng.integers(2, 6))
+        if identical:
+            w = np.full(d, rng.uniform(0.2, 2.0))
+            cols = np.tile(rng.exponential(1.0, size=n), (d, 1))
+        else:
+            w = rng.uniform(0.2, 2.0, size=d)
+            cols = rng.pareto(2.0, size=(d, n)) + rng.normal(0.0, 1.0, size=(d, 1))
+        # every row aggregate lies between lo and hi
+        lo = sum((wi * c).min() for wi, c in zip(w, cols))
+        hi = sum((wi * c).max() for wi, c in zip(w, cols))
+        k = {
+            "below": lo - rng.uniform(0.0, 2.0),
+            "inside": rng.uniform(lo, hi),
+            "above": hi + rng.uniform(0.0, 2.0),
+        }[where]
+        X, cost = matrix(*cols), CostFunction(weighted_sum(w), stop_loss(k))
+        L, name = ra_core._split_curve(X, cost)
+        assert name == ("symmetric_split" if identical else "single_column")
+        hull = ra_core._concave_hull(L)
+        lengths = np.diff(hull)
+        slopes = np.diff(L[hull]) / lengths
+        want = max(float(np.sum(lengths * np.maximum(slopes - k, 0.0))), jensen_bound(X, cost))
+        value, _ = lower_bound(X, cost)
+        # relative to the terms of L_m - k*m, which cancel where k is inside
+        assert abs(value - want) <= 1e-15 * (np.abs(L).max() + abs(k) * n)
+        if where == "above":
+            assert value == want == 0.0
+
+    @pytest.mark.parametrize("transform", [identity(), stop_loss(0.3), stop_loss(3.0)])
+    @pytest.mark.parametrize("case", ["exponentials", "identical"])
+    def test_no_hull_for_identity_or_stop_loss(self, monkeypatch, case, transform):
+        if case == "exponentials":
+            X0, cost = portfolio_grid("exponentials", 4000)
+            cost = CostFunction(cost.agg, transform)
+        else:
+            X0 = grid_matrix([truncate_unbounded_sides(exponential(1))] * 3, 4000)
+            cost = CostFunction(sum_agg(3), transform)
+
+        def refuse(y):
+            raise AssertionError("no hull is needed")
+
+        monkeypatch.setattr(ra_core, "_concave_hull", refuse)
+        value, form = lower_bound(X0, cost)
+        assert value >= jensen_bound(X0, cost) and form in LOWER_BOUND_FORMS
+        if transform.form == "identity":
+            assert (value, form) == (jensen_bound(X0, cost), "jensen")
+
     def test_none_where_jensen_gives_none(self):
         X = matrix([1, 2, 3], [1, 2, 3])
         assert lower_bound(X, CostFunction(custom_sum2(), identity())) == (None, None)
         assert lower_bound(X, CostFunction(sum_agg(2), custom_transform(np.sqrt))) == (None, None)
 
     @pytest.mark.parametrize("kind", ["lower", "upper"])
-    @pytest.mark.parametrize("case", ["exponentials", "wide_d100"])
+    @pytest.mark.parametrize("case", ["exponentials", "tiny_oracle_check", "wide_d100"])
     def test_float_noise_far_inside_the_tolerance(self, case, kind):
-        # where Jensen already certifies the run, a stronger form may only
-        # differ from the certified objective by float noise
-        if case == "exponentials":
-            X0, cost = portfolio_grid("exponentials", 100_000, kind)
-        else:
+        # where Jensen already certifies the run, the majorant may only differ
+        # from the certified objective by float noise, and keeps the name
+        # "jensen": on exponentials-upper, tiny_oracle_check-upper and both
+        # wide_d100 grids that noise puts it above Jensen's value
+        if case == "wide_d100":
             specs, cost = WIDE_D100
             X0 = grid_matrix([truncate_unbounded_sides(s) for s in specs], 1000, kind)
+        else:
+            X0, cost = portfolio_grid(case, 100_000 if case == "exponentials" else 5, kind)
         res = run_ra(X0, cost, bound=jensen_bound(X0, cost))
         assert res.certified
-        value, _ = lower_bound(X0, cost)
+        value, form = lower_bound(X0, cost)
         assert abs(value - res.objective) <= CERTIFY_RTOL / 100 * (1.0 + abs(res.objective))
+        assert form == "jensen"
 
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=40),
