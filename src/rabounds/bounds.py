@@ -38,10 +38,7 @@ from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, RaResult, run_ra_res
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
 # RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper.
-_SIDE_FIELDS = (
-    "converged", "sweeps", "certified", "restarts_run", "stop_reason", "sweeps_total",
-    "bound_form",
-)
+_SIDE_FIELDS = ("sweeps", "certified", "stop_reason", "bound_form")
 
 
 @dataclass(frozen=True)
@@ -63,20 +60,16 @@ class BoundsResult:
     ``"jensen"``, or the grid's one majorization family, ``"single_column"``
     where the weighted columns differ and ``"symmetric_split"`` where they
     are identical (None with no bound). ``certified_*`` says the side's
-    estimate is the optimum of its grid. ``restarts_run_lower`` counts how
-    many of the ``restarts`` starts ran before that was known; the upper side
-    ignores ``restarts`` and ``seed``, so ``restarts_run_upper`` is always 1.
+    estimate is the optimum of its grid.
 
-    ``sweeps_*``, ``converged_*`` and ``stop_reason_*`` describe the winning
-    run: ``stop_reason_*`` is ``"fixed_point"`` (then ``converged_*`` is
-    true), ``"certified"`` (the run stopped on the bound; ``converged_*`` is
-    false, yet the estimate is the grid optimum) or ``"max_sweeps"``.
-    ``sweeps_total_*`` sums the sweeps of every start the side ran, so
-    ``sweeps_total_upper`` equals ``sweeps_upper``.
-
-    Every per-side value is a ``<name>_lower`` / ``<name>_upper`` pair. The
-    ``RaResult`` values named in ``_SIDE_FIELDS`` are copied unchanged, so a
-    new one costs a name there and its two fields here.
+    ``sweeps_*`` and ``stop_reason_*`` describe the winning run:
+    ``stop_reason_*`` is ``"fixed_point"``, ``"certified"`` (the run stopped
+    on the bound, and the estimate is the grid optimum) or ``"max_sweeps"``.
+    ``converged_*`` is derived from it. Only the lower side restarts:
+    ``restarts_run_lower`` counts the starts it ran (at most ``restarts``,
+    fewer once its best run is certified) and ``sweeps_total_lower`` sums
+    their sweeps. The upper side ignores ``restarts`` and ``seed`` and runs
+    once.
     """
 
     lower_estimate: float
@@ -86,8 +79,6 @@ class BoundsResult:
     n: int
     restarts: int
     seed: int
-    converged_lower: bool
-    converged_upper: bool
     sweeps_lower: int
     sweeps_upper: int
     runtime_ms_lower: int
@@ -99,13 +90,19 @@ class BoundsResult:
     certified_lower: bool
     certified_upper: bool
     restarts_run_lower: int
-    restarts_run_upper: int
+    sweeps_total_lower: int
     stop_reason_lower: str
     stop_reason_upper: str
-    sweeps_total_lower: int
-    sweeps_total_upper: int
     bound_form_lower: Optional[str]
     bound_form_upper: Optional[str]
+
+    @property
+    def converged_lower(self) -> bool:
+        return self.stop_reason_lower == "fixed_point"
+
+    @property
+    def converged_upper(self) -> bool:
+        return self.stop_reason_upper == "fixed_point"
 
 
 def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_truncate: bool):
@@ -192,6 +189,7 @@ def estimate_inf(
         max_sweeps=max_sweeps,
     )
     fields.update(_side_fields("lower", res, lower, cost, n, t0))
+    fields.update(restarts_run_lower=res.restarts_run, sweeps_total_lower=res.sweeps_total)
 
     t0 = time.perf_counter()
     upper = [discretize(s, n, "upper") for s in prepared]

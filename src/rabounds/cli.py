@@ -35,12 +35,12 @@ import argparse
 import contextlib
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import marginals as mg
-from .bounds import BoundsResult, _prepare_specs, estimate_inf
+from .bounds import _prepare_specs, estimate_inf
 from .costfn import CostFunction, identity, power, stop_loss, sum_agg, weighted_sum
 from .errors import RaboundsError
 from .marginals import MarginalSpec, discretize
@@ -103,20 +103,17 @@ CSV_COLUMNS = [
     "certified_lower",
     "certified_upper",
     "restarts_run_lower",
-    "restarts_run_upper",
     "stop_reason_lower",
     "stop_reason_upper",
     "sweeps_total_lower",
-    "sweeps_total_upper",
     "error",
 ]
 
 RUNTIME_COLUMNS = ("runtime_ms_lower", "runtime_ms_upper")
 
-# A report column shows the BoundsResult field of its name, or the renamed one
-# below; ``truncated`` summarises ``truncation_applied``.
+# A report column shows the BoundsResult attribute of its name, or the renamed
+# one below; ``truncated`` summarises ``truncation_applied``.
 _RENAMED = {"lower": "lower_estimate", "upper": "upper_estimate"}
-_RESULT_FIELDS = {f.name for f in fields(BoundsResult)}
 
 
 @dataclass(frozen=True)
@@ -452,7 +449,7 @@ def run_cases(config: RunConfig) -> List[Dict[str, str]]:
             )
             for col in CSV_COLUMNS:
                 field = _RENAMED.get(col, col)
-                if field in _RESULT_FIELDS:
+                if hasattr(result, field):
                     row[col] = _fmt(getattr(result, field))
             row["truncated"] = _truncation_summary(result)
             if case.oracle and within_budget(case.n, len(case.specs), case.oracle_budget):

@@ -247,7 +247,7 @@ class TestCertificate:
         cost = CostFunction(sum_agg(3), power(2))
         r = estimate_inf([exponential(1)] * 3, cost, n=500, restarts=3, seed=1)
         assert (r.certified_lower, r.certified_upper) == (False, False)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (3, 1)
+        assert r.restarts_run_lower == 3
         assert r.bound_lower < r.lower_estimate and r.bound_upper < r.upper_estimate
 
     def test_portfolio_exponentials_certified_after_first_run(self):
@@ -258,7 +258,7 @@ class TestCertificate:
                          seed=case.seed)
         assert case.restarts == 3
         assert (r.certified_lower, r.certified_upper) == (True, True)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (1, 1)
+        assert r.restarts_run_lower == 1
         assert r.lower_estimate == pytest.approx(r.bound_lower, rel=1e-12)
         assert r.upper_estimate == pytest.approx(r.bound_upper, rel=1e-12)
 
@@ -273,7 +273,25 @@ class TestCertificate:
         r = estimate_inf([uniform(0.5, 1), uniform(1, 2)], cost, n=50, restarts=2, seed=0)
         assert (r.bound_lower, r.bound_upper) == (None, None)
         assert (r.certified_lower, r.certified_upper) == (False, False)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (2, 1)
+        assert r.restarts_run_lower == 2
+
+    def test_upper_side_runs_once(self, monkeypatch):
+        # run_ra_restarts looks run_ra up as a module global, so counting it
+        # there sees every start of both sides
+        import rabounds.ra_core as ra_core
+
+        calls = []
+        real = ra_core.run_ra
+        monkeypatch.setattr(
+            ra_core, "run_ra", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+        )
+        cost = CostFunction(sum_agg(3), power(2))
+        r = estimate_inf([exponential(1)] * 3, cost, n=500, restarts=3, seed=1)
+        assert len(calls) == r.restarts_run_lower + 1 == 4  # uncertified
+        calls.clear()
+        specs, cost, _, restarts, seed = _portfolio_exponentials()
+        r = estimate_inf(specs, cost, n=10_000, restarts=restarts, seed=seed)
+        assert len(calls) == r.restarts_run_lower + 1 == 2  # certified
 
 
 def _portfolio_exponentials():
@@ -340,8 +358,9 @@ class TestPerSideCopy:
             assert getattr(r, f"{kind}_estimate") == res.objective / n
             assert getattr(r, f"bound_{kind}") == (None if res.bound is None else res.bound / n)
             assert getattr(r, f"sup_{kind}") == comonotonic_value(margs, cost)
-            for name in ("converged", "sweeps", "certified", "restarts_run"):
+            for name in ("converged", "sweeps", "certified", "stop_reason", "bound_form"):
                 assert getattr(r, f"{name}_{kind}") == getattr(res, name)
+        assert (r.restarts_run_lower, r.sweeps_total_lower) == (low.restarts_run, low.sweeps_total)
 
 
 def _empirical_mix():
@@ -464,7 +483,7 @@ class TestStrongerCertificate:
         specs = [uniform(0, 0.4), uniform(0.1, 0.5), uniform(0, 1)]
         r = estimate_inf(specs, cost, n=n, restarts=3, seed=20260809)
         assert (r.certified_lower, r.certified_upper) == (True, True)
-        assert (r.restarts_run_lower, r.restarts_run_upper) == (1, 1)
+        assert r.restarts_run_lower == 1
         assert (r.bound_form_lower, r.bound_form_upper) == ("single_column", "jensen")
 
     @pytest.mark.parametrize("seed", [1, 11])

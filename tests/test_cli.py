@@ -309,10 +309,13 @@ class TestRunCases:
     def test_order_preserved_and_rows_complete(self):
         rows = run_cases(parse_config(GOOD))
         assert [r["case"] for r in rows] == ["a", "b"]
+        # a column that names no BoundsResult attribute would stay empty
+        oracle_only = {"oracle_lower", "oracle_upper", "theorem_check", "error"}
         for row in rows:
             assert set(row) == set(CSV_COLUMNS)
             assert row["error"] == ""
             assert float(row["lower"]) <= float(row["upper"]) + 1e-9
+            assert [c for c in CSV_COLUMNS if c not in oracle_only and row[c] == ""] == []
 
     def test_failing_case_does_not_abort_batch(self):
         text = """
@@ -406,14 +409,15 @@ restarts = 2
         pair, hard = run_cases(parse_config(text))
         # uniform pair: the first run sits on the Jensen bound
         assert (pair["certified_lower"], pair["restarts_run_lower"]) == ("true", "1")
-        assert (pair["certified_upper"], pair["restarts_run_upper"]) == ("true", "1")
+        assert pair["certified_upper"] == "true"
         assert (hard["certified_lower"], hard["restarts_run_lower"]) == ("false", "2")
-        assert (hard["certified_upper"], hard["restarts_run_upper"]) == ("false", "1")
+        assert hard["certified_upper"] == "false"
         for kind in ("lower", "upper"):
             assert float(hard[f"bound_{kind}"]) < float(hard[kind])
 
     def test_stop_reason_and_total_sweeps_columns(self):
-        # one sweep certifies the exponential portfolio but not the squared sum
+        # one sweep certifies the exponential portfolio but not the squared
+        # sum; a one-row grid is a fixed point after its one sweep
         text = """
 max_sweeps = 1
 
@@ -434,18 +438,28 @@ aggregation = sum
 transform = power 2
 n = 500
 restarts = 2
+
+[case fixed]
+marginal = exponential 1
+marginal = exponential 2
+aggregation = sum
+transform = power 2
+n = 1
 """
-        certified, cut = rows_from_csv(render(run_cases(parse_config(text))))
+        certified, cut, fixed = rows_from_csv(render(run_cases(parse_config(text))))
         for kind in ("lower", "upper"):
             assert certified[f"stop_reason_{kind}"] == "certified"
             assert certified[f"certified_{kind}"] == "true"
             assert certified[f"converged_{kind}"] == "false"
-            assert certified[f"sweeps_total_{kind}"] == "1"
             assert cut[f"stop_reason_{kind}"] == "max_sweeps"
             assert cut[f"certified_{kind}"] == "false"
-            assert cut[f"sweeps_total_{kind}"] == {"lower": "2", "upper": "1"}[kind]
-            for row in (certified, cut):
-                assert int(row[f"sweeps_total_{kind}"]) >= int(row[f"sweeps_{kind}"])
+            assert fixed[f"stop_reason_{kind}"] == "fixed_point"
+            for row in (certified, cut, fixed):
+                fixed_point = row[f"stop_reason_{kind}"] == "fixed_point"
+                assert row[f"converged_{kind}"] == ("true" if fixed_point else "false")
+        assert (certified["sweeps_total_lower"], cut["sweeps_total_lower"]) == ("1", "2")
+        for row in (certified, cut, fixed):
+            assert int(row["sweeps_total_lower"]) >= int(row["sweeps_lower"])
 
 
 class TestCsv:
