@@ -18,6 +18,7 @@ oracles for the rearrangement loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -125,50 +126,71 @@ def compare(x, y) -> OrderRelation:
 
 def _opposite_order(
     x: np.ndarray, y: np.ndarray, hint: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(order, violated)`` for x against its partner y, along the last axis.
+) -> Tuple[np.ndarray, bool]:
+    """``(order, violated)`` for a vector x against its partner y.
 
     ``order`` is the stable descending argsort of y: a rearrangement of x
-    places its ascending values there. ``violated`` is False exactly when
-    ``(x_i - x_j) * (y_i - y_j) <= 0`` for every index pair, that is when no
-    group of distinct y values along ``order`` starts with the running max
-    of x before it above the running min from it on; ties in y place no
-    constraint on x. Only values are compared, so nothing can underflow, and
-    a NaN is a violation. A ``(chunk, n)`` batch gets one flag per row.
+    places its ascending values there; the rearrangement step needs it.
+    ``violated`` is False exactly when ``(x_i - x_j) * (y_i - y_j) <= 0``
+    for every index pair, that is when no group of distinct y values along
+    ``order`` starts with the running max of x before it above the running
+    min from it on; ties in y place no constraint on x. Only values are
+    compared, so nothing can underflow. A NaN in x or y is a violation, as
+    the definition's product is then NaN: NaN sorts last in ``-y``, and the
+    running max of x ends in NaN when x holds one.
 
-    ``hint``, for 1-D input only, is a permutation that nearly sorts y
-    descending, such as the ``order`` of a previous, similar y. It only
-    makes the sort faster; the result is the same. The sort then runs on
-    the complex key ``-y[hint] + 1j * hint``, which numpy orders by real
-    part, then imaginary part, with NaN real parts last (see "sort order
-    for complex numbers" under ``numpy.sort``): ties in y go by row index
-    inside the key, as in the cold sort. The keys are unique, and
-    ``"stable"`` only selects timsort, near-linear on nearly sorted input.
+    ``hint`` is a permutation that nearly sorts y descending, such as the
+    ``order`` of a previous, similar y. It only makes the sort faster; the
+    result is the same. The sort then runs on the complex key
+    ``-y[hint] + 1j * hint``, which numpy orders by real part, then
+    imaginary part, with NaN real parts last (see "sort order for complex
+    numbers" under ``numpy.sort``): ties in y go by row index inside the
+    key, as in the cold sort. The keys are unique, and ``"stable"`` only
+    selects timsort, near-linear on nearly sorted input.
     """
-    if y.ndim == 1:
-        if hint is None:
-            order = np.argsort(-y, kind="stable")
-        else:
-            key = np.empty(y.size, dtype=complex)
-            key.real = -y[hint]
-            key.imag = hint
-            order = hint[np.argsort(key, kind="stable")]
-        ys, xs = y[order], x[order]
+    if hint is None:
+        order = np.argsort(-y, kind="stable")
     else:
-        order = np.argsort(-y, axis=-1, kind="stable")
-        ys = np.take_along_axis(y, order, axis=-1)
-        xs = np.take_along_axis(x, order, axis=-1)
-    starts = ys[..., 1:] != ys[..., :-1]
-    before = np.maximum.accumulate(xs, axis=-1)[..., :-1]
-    after = np.minimum.accumulate(xs[..., ::-1], axis=-1)[..., ::-1][..., 1:]
-    return order, (starts & ~(before <= after)).any(axis=-1)
+        key = np.empty(y.size, dtype=complex)
+        key.real = -y[hint]
+        key.imag = hint
+        order = hint[np.argsort(key, kind="stable")]
+    if y.size == 0:
+        return order, False
+    ys, xs = y[order], x[order]
+    starts = ys[1:] != ys[:-1]
+    running_max = np.maximum.accumulate(xs)
+    after = np.minimum.accumulate(xs[::-1])[::-1][1:]
+    nan = math.isnan(ys[-1]) or math.isnan(running_max[-1])
+    return order, bool(nan or (starts & ~(running_max[:-1] <= after)).any())
+
+
+def _opposite_violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The batch predicate: one flag per column of ``(n, rows)`` blocks.
+
+    Column k of x and y holds one pair of vectors; its flag is True when
+    some index pair has ``x_r > x_s and y_r > y_s`` or ``x_r < x_s and
+    y_r < y_s``, the sign form of ``(x_r - x_s) * (y_r - y_s) > 0``, or
+    when the column holds a NaN in x or y. The flags equal those of
+    :func:`_opposite_order` on each pair. The test runs over all n(n-1)/2
+    index pairs on whole rows of the block, with no sort: for the small n
+    of an exhaustive scan that beats sorting every column. Only values are
+    compared, so nothing can underflow.
+    """
+    bad = np.isnan(x).any(axis=0) | np.isnan(y).any(axis=0)
+    for r in range(x.shape[0] - 1):
+        xr, yr, xs, ys = x[r], y[r], x[r + 1 :], y[r + 1 :]
+        bad |= (((xr > xs) & (yr > ys)) | ((xr < xs) & (yr < ys))).any(axis=0)
+    return bad
 
 
 def is_oppositely_ordered(x, y) -> bool:
     """True iff (x_i - x_j) * (y_i - y_j) <= 0 for every index pair.
 
-    An O(n log n) check through ``_opposite_order``, the predicate the
-    rearrangement step and the oracle's restricted scan use too.
+    A NaN in x or y makes it False. An O(n log n) check through
+    ``_opposite_order``, the predicate the rearrangement step uses too; the
+    oracle's restricted scan checks its batches with the all-pairs
+    ``_opposite_violations``, which flags the same vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

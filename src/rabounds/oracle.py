@@ -14,11 +14,15 @@ the exact count, before it starts; the batch CLI calls :func:`within_budget`
 itself to skip such a case.
 
 Every aggregation kind takes one vectorized path that evaluates
-arrangements in chunks through the costfn row functions. The restricted
-minimum runs the rearrangement step's own opposite-order predicate,
-``majorization._opposite_order``, only on arrangements whose objective is
-below the best found so far, in objective order, and stops at the first
-that passes; the result is the same as filtering every arrangement.
+arrangements in blocks through the costfn row functions. A block broadcasts
+the fixed first column, the other columns' permutations gathered once per
+prefix, and a run of the last column's permutation table to one shape, so
+no arrangement is gathered row by row. The restricted minimum runs the
+batch predicate ``majorization._opposite_violations``, an all-pairs test
+that flags exactly what the rearrangement step's sort-based
+``_opposite_order`` flags, only on arrangements whose objective is below the
+best found so far, in objective order, and stops at the first that passes;
+the result is the same as filtering every arrangement.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from .errors import (
     LengthMismatch,
     ValidationFailed,
 )
-from .majorization import _opposite_order
+from .majorization import _opposite_violations
 from .marginals import DiscreteMarginal
-from .ra_core import ArrangementMatrix, objective
+from .ra_core import ArrangementMatrix, _check_arity, objective
 
 __all__ = [
     "brute_force_min",
@@ -57,8 +61,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 
-# a chunk holds _CHUNK_CELLS // n**2 arrangements, which bounds each of its
-# (chunk, n) blocks and their temporaries to _CHUNK_CELLS // n cells
+# a block holds at most _CHUNK_CELLS // n**2 arrangements, which bounds each
+# of its d (c, w, n) arrays and their temporaries to _CHUNK_CELLS // n cells;
+# its d inputs are broadcast views, so only the prefixes take memory
 _CHUNK_CELLS = 1 << 21
 
 # rows in the restricted scan's first predicate batch; each later batch doubles
@@ -97,11 +102,10 @@ def within_budget(n: int, d: int, budget: int) -> bool:
     return total <= budget
 
 
-def _check_budget(X: ArrangementMatrix, budget: int) -> int:
+def _check_budget(X: ArrangementMatrix, budget: int) -> None:
     if not within_budget(X.n, X.d, budget):
         # exact, so the error can say how far over the budget the scan is
         raise BudgetExceeded(arrangement_count(X.n, X.d), budget)
-    return arrangement_count(X.n, X.d)
 
 
 def _perm_table(n: int) -> np.ndarray:
@@ -109,37 +113,92 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
+def _take_least(cand: np.ndarray, obj: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first k of ``cand`` in ``(obj, cand)`` order, in that order, and
+    the rest of ``cand`` in its own order; ``cand`` holds ascending indices.
+
+    One ``partition`` finds the k-th least objective, so only the rows below
+    it are sorted, not every candidate; the rows tied with it follow in
+    index order. A stable argsort of all of ``cand`` gives the same rows,
+    but sorts every candidate when the first batch usually ends the search.
+    """
+    vals = obj[cand]
+    cut = np.partition(vals, k - 1)[k - 1]
+    below = np.flatnonzero(vals < cut)
+    below = below[np.argsort(vals[below], kind="stable")]
+    tied = np.flatnonzero(vals == cut)[: k - below.size]
+    taken = np.concatenate([below, tied])
+    rest = np.ones(cand.size, dtype=bool)
+    rest[taken] = False
+    return cand[taken], cand[rest]
+
+
 def _first_feasible(
     agg: AggregationSpec, vals: list, obj: np.ndarray, best: float
 ) -> int:
-    """Chunk row of the least objective below ``best`` whose arrangement is
-    oppositely ordered, the lowest row among equal objectives; -1 if none.
+    """Flat block index of the least objective below ``best`` whose
+    arrangement is oppositely ordered, the lowest index among equal
+    objectives; -1 if none.
 
-    Only rows with ``obj < best`` are checked, in ``(objective, row)``
-    order, in batches of 64, 128, ... rows, and the first feasible row
-    ends the search: the predicate sees at most about twice the rows
-    before that row, even when every objective ties. That row is the one
-    ``argmin(where(feasible, obj, inf))`` picks among them.
+    ``vals`` are the block's d ``(c, w, n)`` views and ``obj`` its ``c * w``
+    objectives, flattened. Only rows with ``obj < best`` are checked, in
+    ``(objective, index)`` order, in batches of 64, 128, ... rows
+    (:func:`_take_least`), and the first feasible row ends the search: the
+    predicate sees at most about twice the rows before that row, even when
+    every objective ties. That row is the one
+    ``argmin(where(feasible, obj, inf))`` picks among them. A batch is
+    gathered as C-ordered ``(n, rows)`` blocks, whose whole rows
+    ``_opposite_violations`` compares.
     """
     cand = np.flatnonzero(obj < best)
-    cand = cand[np.argsort(obj[cand], kind="stable")]
-    start, size = 0, _FIRST_BATCH
-    while start < cand.size:
-        rows = cand[start : start + size]
-        sub = [v[rows] for v in vals]
+    width = vals[0].shape[1]
+    size = _FIRST_BATCH
+    while cand.size:
+        rows, cand = _take_least(cand, obj, min(size, cand.size))
+        prefix, last = np.divmod(rows, width)
+        sub = [np.ascontiguousarray(v[prefix, last].T) for v in vals]
         feasible = np.ones(rows.size, dtype=bool)
         for i in range(len(sub)):
             # the partial is aggregated from the other columns, as in the
             # loop; deriving it as H - w_i*vals_i cancels catastrophically
             # on tied values and can flag exact ties as violations
             part = eval_partial_rows(agg, i, sub[:i] + sub[i + 1 :])
-            feasible &= ~_opposite_order(sub[i], part)[1]
+            feasible &= ~_opposite_violations(sub[i], part)
         hits = np.flatnonzero(feasible)
         if hits.size:
             return int(rows[hits[0]])
-        start += size
         size *= 2
     return -1
+
+
+def _blocks(X: ArrangementMatrix, perms: np.ndarray):
+    """``(lo, views)`` for every block of the scan, in lexicographic order.
+
+    An arrangement is a prefix, one row of ``perms`` for each column from
+    the second to the second-to-last, followed by one row for the last
+    column. A block broadcasts the fixed first column ``(1, 1, n)``, the
+    leading columns gathered for c prefixes ``(c, 1, n)`` and w rows of the
+    last column's table ``(1, w, n)`` to d read-only ``(c, w, n)`` views,
+    so only the prefixes are gathered. Its arrangement ``(a, b)`` has flat
+    index ``lo + a * w + b``. A block holds at most ``max(1, _CHUNK_CELLS
+    // n**2)`` arrangements: whole prefixes when the last table fits, else
+    one prefix and a slice of the last table.
+    """
+    n, d = X.n, X.d
+    count = perms.shape[0]
+    last = X.columns[d - 1][perms][None]
+    leading = [X.columns[i][perms] for i in range(1, d - 1)]
+    base = X.columns[0][None, None]
+    chunk = max(1, _CHUNK_CELLS // (n * n))
+    per_block = max(1, chunk // count)
+    step = min(chunk, count)
+    prefixes = count ** (d - 2)
+    for p in range(0, prefixes, per_block):
+        ids = np.arange(p, min(p + per_block, prefixes))
+        ids = np.unravel_index(ids, (count,) * (d - 2)) if leading else ()
+        heads = [t[idc][:, None] for t, idc in zip(leading, ids)]
+        for j in range(0, count, step):
+            yield p * count + j, np.broadcast_arrays(base, *heads, last[:, j : j + step])
 
 
 def _scan(
@@ -148,37 +207,28 @@ def _scan(
     budget: int,
     mode: str,
 ) -> Tuple[float, ArrangementMatrix]:
-    """Chunked scan over every arrangement, in lexicographic order.
+    """Blocked scan over every arrangement, in lexicographic order.
 
     mode is "min", "max", or "min_restricted"; returns the value and the
-    first arrangement attaining it. Each chunk is a list of d ``(chunk, n)``
-    blocks evaluated by the costfn row functions, so every aggregation kind
-    takes this one path. "min_restricted" wants the least objective among
-    rows in which ``_opposite_order`` passes every column against its
-    partial; it runs that check (:func:`_first_feasible`) only on rows below
-    the best so far, in ``(objective, index)`` order, so the value and the
-    arrangement are those of filtering every row and taking the argmin. A
-    chunk holds ``max(1, _CHUNK_CELLS // n**2)`` arrangements; the result
-    does not depend on it.
+    first arrangement attaining it. Each block (:func:`_blocks`) is d
+    broadcast ``(c, w, n)`` views evaluated by the costfn row functions, so
+    every aggregation kind takes this one path. "min_restricted" wants the
+    least objective among rows in which every column is oppositely ordered
+    to its partial; it runs the batch predicate ``_opposite_violations``
+    (:func:`_first_feasible`) only on rows below the best so far, in
+    ``(objective, index)`` order, so the value and the arrangement are
+    those of filtering every row and taking the argmin. The result does
+    not depend on the block size.
     """
-    total = _check_budget(X, budget)
-    n, d = X.n, X.d
+    _check_arity(X, cost.d)
+    _check_budget(X, budget)
     agg = cost.agg
-    perms = _perm_table(n)
-    shape = (perms.shape[0],) * (d - 1)
-    tables = [X.columns[i][perms] for i in range(1, d)]
-    base = X.columns[0]
-    chunk_size = max(1, _CHUNK_CELLS // (n * n))
-
+    perms = _perm_table(X.n)
     sign = -1.0 if mode == "max" else 1.0
     best = np.inf
     best_flat = -1
-    for lo in range(0, total, chunk_size):
-        hi = min(lo + chunk_size, total)
-        ids = np.unravel_index(np.arange(lo, hi), shape)
-        vals = [np.broadcast_to(base, (hi - lo, n))]
-        vals.extend(t[idc] for t, idc in zip(tables, ids))
-        obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=1)
+    for lo, vals in _blocks(X, perms):
+        obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=-1).ravel()
         if not np.all(np.isfinite(obj)):
             raise ValidationFailed("cost evaluates to a non-finite objective")
         if mode == "min_restricted":
@@ -196,9 +246,9 @@ def _scan(
         raise InternalInconsistency(
             "no oppositely-ordered arrangement found; the fixed-point set is never empty"
         )
-    ids = np.unravel_index(best_flat, shape)
-    cols = [base]
-    cols.extend(t[idc] for t, idc in zip(tables, ids))
+    ids = np.unravel_index(best_flat, (perms.shape[0],) * (X.d - 1))
+    cols = [X.columns[0]]
+    cols.extend(X.columns[i][perms[idc]] for i, idc in enumerate(ids, start=1))
     return sign * best, ArrangementMatrix(tuple(cols), X.provenance)
 
 

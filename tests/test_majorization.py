@@ -13,7 +13,7 @@ from rabounds import (
     sort_asc,
     sort_desc,
 )
-from rabounds.majorization import _opposite_order
+from rabounds.majorization import _opposite_order, _opposite_violations
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -115,7 +115,25 @@ class TestOppositelyOrdered:
         # every pair without the NaN is oppositely ordered
         x, y = np.array([1.0, np.nan, 0.0]), np.array([0.0, 1.0, 2.0])
         assert not is_oppositely_ordered(x, y)
-        assert _opposite_order(np.stack([x, x[::-1]]), np.stack([y, y[::-1]]))[1].all()
+        assert _opposite_violations(np.stack([x, x[::-1]]).T, np.stack([y, y[::-1]]).T).all()
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1.0], [1.0, np.nan]),  # (0 - 1) * (1 - nan) is NaN, not <= 0
+            ([np.nan, 1.0], [1.0, 0.0]),  # NaN in x only
+            ([1.0, 0.0], [0.0, np.nan]),  # NaN in y only, where it sorts last
+            ([np.nan, 0.0, 1.0], [2.0, 2.0, 2.0]),  # all y tied: no other pair counts
+            ([np.nan], [0.0]),  # n=1: the pair (0, 0) gives NaN too
+            ([0.0], [np.nan]),
+        ],
+    )
+    def test_any_nan_is_a_violation(self, x, y):
+        x, y = np.array(x), np.array(y)
+        assert not is_oppositely_ordered(x, y)
+        for hint in (None, np.arange(x.size)[::-1]):
+            assert _opposite_order(x, y, hint)[1]
+        assert _opposite_violations(x[:, None], y[:, None]).tolist() == [True]
 
     def test_trivial_sizes(self):
         assert is_oppositely_ordered([], [])
@@ -161,9 +179,9 @@ def batches(draw):
 @settings(max_examples=200, deadline=None)
 def test_batched_predicate_matches_all_pairs_definition_per_row(batch, data):
     x, y = batch
-    order, violated = _opposite_order(x, y)
+    violated = _opposite_violations(x.T, y.T)
     assert violated.shape == (x.shape[0],)
-    for xr, yr, row_order, row_violated in zip(x, y, order, violated):
+    for xr, yr, row_violated in zip(x, y, violated):
         # the sign form of test_matches_all_pairs_definition
         want = any(
             (xr[i] < xr[j] and yr[i] < yr[j]) or (xr[i] > xr[j] and yr[i] > yr[j])
@@ -172,7 +190,6 @@ def test_batched_predicate_matches_all_pairs_definition_per_row(batch, data):
         )
         assert bool(row_violated) == want
         one_order, one_violated = _opposite_order(xr, yr)
-        assert np.array_equal(row_order, one_order)
         assert one_violated == row_violated
         # a warm start from any row order, even the reverse of the tie rule,
         # gives the cold order and flag
@@ -184,6 +201,24 @@ def test_batched_predicate_matches_all_pairs_definition_per_row(batch, data):
             warm_order, warm_violated = _opposite_order(xr, yr, hint)
             assert np.array_equal(warm_order, one_order)
             assert warm_violated == one_violated
+
+
+def test_batch_predicate_flags_what_the_sort_kernel_flags():
+    # seeded (rows, n) blocks drawn from ties, both zeros, both infinities
+    # and NaN, n = 1..8; the batch predicate compares pairs, the 1-D kernel
+    # sorts, and every row's flag must agree, NaN rows included
+    rng = np.random.default_rng(23)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, -np.inf, np.inf, np.nan])
+    for n in range(1, 9):
+        for p_nan in (0.0, 0.05, 0.2):
+            weights = np.r_[np.full(7, (1 - p_nan) / 7), p_nan]
+            x, y = rng.choice(values, size=(2, 500, n), p=weights)
+            flags = _opposite_violations(x.T, y.T)
+            want = [_opposite_order(xr, yr)[1] for xr, yr in zip(x, y)]
+            assert flags.tolist() == want
+            if p_nan:
+                has_nan = np.isnan(x).any(axis=1) | np.isnan(y).any(axis=1)
+                assert has_nan.any() and flags[has_nan].all()
 
 
 class TestRearrangementInequalities:

@@ -38,7 +38,7 @@ from rabounds.costfn import (
     eval_partial_rows,
     validate_cost,
 )
-from rabounds.majorization import _opposite_order
+from rabounds.majorization import _opposite_violations
 from rabounds.marginals import DiscreteMarginal
 
 SQ_SUM = CostFunction(sum_agg(2), power(2))
@@ -54,6 +54,15 @@ PRODUCT3 = CostFunction(
     ),
     stop_loss(1.0),
 )
+
+
+def product(d):
+    """x1 * ... * xd under stop_loss(1), validated on demo 05's box."""
+    prod = lambda *c: math.prod(c)  # noqa: E731
+    agg = custom_agg(
+        d, h=prod, h2=lambda x, s: x * s, hd1=[prod] * d, monotone_direction="increasing"
+    )
+    return validate_cost(CostFunction(agg, stop_loss(1.0)), low=0.8, high=1.25)
 
 
 def matrix(*cols):
@@ -80,9 +89,9 @@ def restricted_reference(X, cost):
     """The restricted minimum as a filter over every arrangement.
 
     Evaluates all arrangements in the scan's lexicographic order in one
-    block, checks every column with ``_opposite_order`` and takes the argmin,
-    so ties go to the lowest index. Returns the value, that index and the
-    arrangement's columns.
+    block, checks every column with the batch predicate
+    ``_opposite_violations`` and takes the argmin, so ties go to the lowest
+    index. Returns the value, that index and the arrangement's columns.
     """
     combos = list(itertools.product(itertools.permutations(range(X.n)), repeat=X.d - 1))
     vals = [np.tile(X.columns[0], (len(combos), 1))]
@@ -91,7 +100,7 @@ def restricted_reference(X, cost):
     feasible = np.ones(len(combos), dtype=bool)
     for i in range(X.d):
         part = eval_partial_rows(cost.agg, i, vals[:i] + vals[i + 1 :])
-        feasible &= ~_opposite_order(vals[i], part)[1]
+        feasible &= ~_opposite_violations(vals[i].T, part.T)
     k = int(np.argmin(np.where(feasible, obj, np.inf)))
     return float(obj[k]), k, [v[k] for v in vals]
 
@@ -155,19 +164,30 @@ class TestBruteForceMin:
         [lambda X, cost: brute_force_min(X, cost)[0], brute_force_min_over_opposite_set],
         ids=["global", "restricted"],
     )
-    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 30, 1000])
     def test_chunking_does_not_change_result(self, chunk, scan, monkeypatch):
+        # (d, n) -> weights, then h calls per chunk; a block holds at most
+        # chunk = _CHUNK_CELLS // n**2 arrangements: c = chunk // n! whole
+        # prefixes when the last table's n! rows fit, else one prefix and
+        # chunk rows of the last table. d=2, n=5 splits its one prefix of
+        # 120 rows below chunk 120; d=4, n=3 has 36 prefixes of 6 rows
+        cases = {
+            (3, 4): ([0.6, 0.3, 0.8], {1: 576, 3: 192, 4: 144, 30: 24, 1000: 1}),
+            (2, 5): ([0.6, 0.3], {1: 120, 3: 40, 4: 30, 30: 4, 1000: 1}),
+            (4, 3): ([0.6, 0.3, 0.8, 0.5], {1: 216, 3: 72, 4: 72, 30: 8, 1000: 1}),
+        }
         rng = np.random.default_rng(0)
-        X = matrix(*rng.uniform(size=(3, 4)))
-        cost = CostFunction(weighted_sum([0.6, 0.3, 0.8]), stop_loss(0.9))
-        baseline = scan(X, cost)
-        # a chunk holds _CHUNK_CELLS // n**2 arrangements, one h call each
-        monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk * X.n**2)
-        calls = []
-        rows = oracle.eval_h_rows
-        monkeypatch.setattr(oracle, "eval_h_rows", lambda *a: calls.append(1) or rows(*a))
-        assert scan(X, cost) == baseline
-        assert len(calls) == -(-arrangement_count(X.n, X.d) // chunk)
+        for (d, n), (w, expected) in cases.items():
+            X = matrix(*rng.uniform(size=(d, n)))
+            cost = CostFunction(weighted_sum(w), stop_loss(0.3 * d))
+            baseline = scan(X, cost)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_CHUNK_CELLS", chunk * n**2)
+                calls = []
+                rows = oracle.eval_h_rows
+                m.setattr(oracle, "eval_h_rows", lambda *a: calls.append(1) or rows(*a))
+                assert scan(X, cost) == baseline
+            assert len(calls) == expected[chunk]
 
     def test_agrees_with_plain_python_enumeration(self):
         rng = np.random.default_rng(1)
@@ -227,7 +247,7 @@ class TestRestrictedMin:
     def test_an_empty_opposite_set_is_an_internal_inconsistency(self, monkeypatch):
         # the set is never empty, so only a broken predicate can reach the raise
         monkeypatch.setattr(
-            oracle, "_opposite_order", lambda x, y: (None, np.ones(x.shape[:-1], dtype=bool))
+            oracle, "_opposite_violations", lambda x, y: np.ones(x.shape[1:], dtype=bool)
         )
         with pytest.raises(InternalInconsistency) as err:
             brute_force_min_over_opposite_set(matrix([1, 2], [3, 4]), SQ_SUM)
@@ -294,12 +314,17 @@ class TestRestrictedMin:
 
     @staticmethod
     def _instances(kind, rng):
-        """Six instances of one kind at d in {2, 3}, n <= 5."""
+        """Eight instances of one kind: six at d in {2, 3}, n <= 5, then one
+        at d=2, n=5, whose 120-row last table a small chunk splits, and one
+        at d=4, n=3."""
         product_cost = validate_cost(PRODUCT3, low=0.8, high=1.25)
         out = []
-        for t in range(6):
-            d = 2 if t < 2 and kind != "product" else 3
-            n = 5 if t >= 4 else int(rng.integers(2, 5))
+        for t in range(8):
+            if t < 6:
+                d = 2 if t < 2 and kind != "product" else 3
+                n = 5 if t >= 4 else int(rng.integers(2, 5))
+            else:
+                d, n = (2, 5) if t == 6 else (4, 3)
             if kind == "ties":
                 cols = rng.choice([-1.0, -0.5, 0.0, 0.5, 0.5, 1.0], size=(d, n))
                 cost = CostFunction(sum_agg(d), stop_loss(float(rng.integers(-1, d))))
@@ -312,7 +337,7 @@ class TestRestrictedMin:
                 cost = CostFunction(weighted_sum(w), stop_loss(float(w.sum() / 2)))
             else:
                 cols = rng.choice([0.8, 1.0, 1.25], size=(d, n))
-                cost = product_cost
+                cost = product_cost if d == 3 else product(d)
             out.append((ArrangementMatrix.from_columns(cols), cost))
         return out
 
@@ -335,9 +360,9 @@ class TestRestrictedMin:
     @staticmethod
     def _count_predicate_rows(monkeypatch):
         rows = []
-        check = oracle._opposite_order
+        check = oracle._opposite_violations
         monkeypatch.setattr(
-            oracle, "_opposite_order", lambda x, y: rows.append(x.shape[0]) or check(x, y)
+            oracle, "_opposite_violations", lambda x, y: rows.append(x.shape[1]) or check(x, y)
         )
         return rows
 
@@ -352,7 +377,7 @@ class TestRestrictedMin:
         # filtering every arrangement checks d * 14400 = 43200 rows; here the
         # first batch of 64 holds a feasible row, so 192 are checked
         assert arrangement_count(X.n, X.d) == 14400
-        assert sum(rows) <= X.d * arrangement_count(X.n, X.d) // 50
+        assert 0 < sum(rows) <= X.d * arrangement_count(X.n, X.d) // 50
 
     def test_all_tied_objectives_check_about_twice_the_rows_before_the_first_hit(
         self, monkeypatch
@@ -368,7 +393,7 @@ class TestRestrictedMin:
         assert brute_force_min_over_opposite_set(X, cost) == want
         # batches of 64, 128, ... end at most 2 * first + 64 rows in (1984
         # here, against 14400 when every row is filtered)
-        assert sum(rows) <= X.d * (2 * first + oracle._FIRST_BATCH)
+        assert 0 < sum(rows) <= X.d * (2 * first + oracle._FIRST_BATCH)
 
 
 class TestComonotonic:
