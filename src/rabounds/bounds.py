@@ -6,10 +6,10 @@ marginals is bracketed by running the rearrangement on the lower and upper
 n-point quantile grids and dividing each side's objective by n. The upper
 grid is the lower grid shifted by one index, so the lower side's winning
 arrangement nearly solves it: the lower side runs its seeded restarts from
-the comonotonic start, and the upper side runs once, from the lower winner's
-row ranks filled with upper-grid values. The supremum is estimated by the
-comonotonic arrangement on the same grids (it is attained there for
-supermodular costs).
+the comonotonic start. The upper side starts once, from the lower winner's
+row ranks filled with upper-grid values, and sweeps only when that start
+does not certify. The supremum is estimated by the comonotonic arrangement
+on the same grids (it is attained there for supermodular costs).
 
 Unbounded tails are truncated automatically (a fixed tail mass of 1e-5 is
 removed per unbounded side) unless the caller opts out; the applied windows are
@@ -17,8 +17,10 @@ echoed in the result so runs are auditable. For sum and weighted-sum
 aggregations under a built-in transform each side also reports its
 certificate, the majorization bound of :func:`rabounds.ra_core.lower_bound`,
 and the form that gave it. A side whose best run reaches its certificate is
-certified optimal on its grid: the run stops at that sweep and the lower side
-skips its remaining restarts.
+certified optimal on its grid: the run stops at that sweep, or before any
+sweep when its start certifies, and the lower side skips its remaining
+restarts. Equal marginal specs are truncated and discretized once per grid
+and share that grid.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ class BoundsResult:
 
     ``lower_estimate`` comes from the lower quantile grid (the best
     restart's objective divided by n) and ``upper_estimate`` from the upper
-    grid (the objective of the one run that polishes the lower winner,
-    divided by n). ``sup_lower`` / ``sup_upper`` are the comonotonic supremum
-    estimates on the same two grids. ``truncation_applied`` echoes the
-    probability window actually used per marginal (None when untouched), with
+    grid (the objective of the one run that polishes the lower winner, or
+    of its transferred start where that certifies, divided by n).
+    ``sup_lower`` / ``sup_upper`` are the comonotonic supremum estimates on
+    the same two grids. ``truncation_applied`` echoes the probability window
+    actually used per marginal (None when untouched), with
     ``auto_truncated`` flagging the windows this call added itself.
 
     ``bound_lower`` / ``bound_upper`` are the certificates of the two grids
@@ -68,8 +71,9 @@ class BoundsResult:
     ``converged_*`` is derived from it. Only the lower side restarts:
     ``restarts_run_lower`` counts the starts it ran (at most ``restarts``,
     fewer once its best run is certified) and ``sweeps_total_lower`` sums
-    their sweeps. The upper side ignores ``restarts`` and ``seed`` and runs
-    once.
+    their sweeps. The upper side ignores ``restarts`` and ``seed``: its one
+    run sweeps only when its transferred start does not certify, so
+    ``sweeps_upper`` may be 0.
     """
 
     lower_estimate: float
@@ -106,18 +110,28 @@ class BoundsResult:
 
 
 def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_truncate: bool):
-    """Check the arity, then truncate: the specs to discretize, the windows
-    used and which of them this call added."""
+    """Check the arity, then truncate each distinct spec once: the specs to
+    discretize (equal specs share one object), the windows used and which
+    of them this call added."""
     if len(specs) != cost.d:
         raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
-    prepared = []
-    auto_flags = []
-    for spec in specs:
-        adjusted = truncate_unbounded_sides(spec) if auto_truncate else spec
-        prepared.append(adjusted)
-        auto_flags.append(adjusted is not spec)
+    # one lookup per spec: hashing an empirical spec hashes all its values
+    first = {}
+    slots = [first.setdefault(spec, len(first)) for spec in specs]
+    distinct = list(first)
+    adjusted = [truncate_unbounded_sides(s) if auto_truncate else s for s in distinct]
+    prepared = [adjusted[k] for k in slots]
     windows = tuple(s.truncation for s in prepared)
-    return prepared, windows, tuple(auto_flags)
+    auto_flags = tuple(adjusted[k] is not distinct[k] for k in slots)
+    return prepared, windows, auto_flags
+
+
+def _grids(prepared: Sequence[MarginalSpec], n: int, kind: str) -> list:
+    """One ``kind`` grid per prepared spec, discretized once per distinct
+    object, so the equal specs of :func:`_prepare_specs` share one grid."""
+    distinct = {id(s): s for s in prepared}
+    grids = {key: discretize(s, n, kind) for key, s in distinct.items()}
+    return [grids[id(s)] for s in prepared]
 
 
 def _on_ranks(
@@ -168,12 +182,14 @@ def estimate_inf(
     the comonotonic arrangement and rearranges with up to ``restarts`` seeded
     starting points; it stops restarting once its best run is certified
     optimal (see :func:`rabounds.ra_core.run_ra_restarts`). The upper side
-    discretizes on the upper grid and runs once (``restarts=1``, certified
+    discretizes on the upper grid and starts once (``restarts=1``, certified
     the same way) from the lower winner's ranks: in each column
     the row holding the k-th smallest lower value (ties by row index) gets
-    the k-th smallest upper value. It ignores ``restarts`` and ``seed``.
-    Each side's objective is scaled by 1/n. The bracket property needs a
-    componentwise increasing cost; anything else is rejected.
+    the k-th smallest upper value. It sweeps only when that start does not
+    certify, and ignores ``restarts`` and ``seed``. Equal specs share one
+    grid per kind. Each side's objective is scaled by 1/n. The bracket
+    property needs a componentwise increasing cost; anything else is
+    rejected.
     """
     prepared, windows, auto_flags = _prepare_specs(specs, cost, auto_truncate)
     if not cost.agg.componentwise_increasing:
@@ -183,7 +199,7 @@ def estimate_inf(
 
     fields = {"truncation_applied": windows, "auto_truncated": auto_flags}
     t0 = time.perf_counter()
-    lower = [discretize(s, n, "lower") for s in prepared]
+    lower = _grids(prepared, n, "lower")
     res = run_ra_restarts(
         ArrangementMatrix.comonotonic(lower), cost, restarts=restarts, seed=seed,
         max_sweeps=max_sweeps,
@@ -192,7 +208,7 @@ def estimate_inf(
     fields.update(restarts_run_lower=res.restarts_run, sweeps_total_lower=res.sweeps_total)
 
     t0 = time.perf_counter()
-    upper = [discretize(s, n, "upper") for s in prepared]
+    upper = _grids(prepared, n, "upper")
     start = _on_ranks(res.matrix, upper)
     del res, lower  # the lower winner is not needed during the upper run
     res = run_ra_restarts(start, cost, restarts=1, seed=seed, max_sweeps=max_sweeps)
@@ -214,5 +230,5 @@ def estimate_sup(
     prepared, _, _ = _prepare_specs(specs, cost, auto_truncate)
     if not cost.is_validated:
         raise ValidationFailed("validate the cost before estimating the supremum")
-    lower, upper = ([discretize(s, n, kind) for s in prepared] for kind in ("lower", "upper"))
+    lower, upper = (_grids(prepared, n, kind) for kind in ("lower", "upper"))
     return comonotonic_value(lower, cost), comonotonic_value(upper, cost)

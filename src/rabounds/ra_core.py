@@ -25,10 +25,10 @@ for the built-in convex transforms (:func:`jensen_bound`). The row aggregates
 of every arrangement also majorize a vector built from the columns' sorted
 values alone, which by Karamata gives a bound at least as strong
 (:func:`lower_bound`). A run that reaches its bound is optimal: given the
-bound, a run stops after the first sweep whose objective certifies, and
-restarts stop once the best run is certified. :func:`run_ra_restarts` gives
-every start the majorization bound. :class:`RaResult` says why each run
-stopped and whether it is certified.
+bound, a run stops at a start that certifies or after the first sweep whose
+objective certifies, and restarts stop once the best run is certified.
+:func:`run_ra_restarts` gives every start the majorization bound.
+:class:`RaResult` says why each run stopped and whether it is certified.
 """
 
 from __future__ import annotations
@@ -148,22 +148,24 @@ class RaResult:
     the lower bound on every objective the run was given (None without one):
     :func:`run_ra_restarts` gives :func:`lower_bound`. ``bound_form`` names
     the form of :func:`lower_bound` that gave ``bound``; :func:`run_ra`
-    leaves it None. ``stop_reason`` says why the run ended, checked after
-    each sweep in this order:
+    leaves it None. ``stop_reason`` says why the run ended, checked on the
+    start (given a bound) and after each sweep in this order:
 
     * ``"fixed_point"``: a full sweep changed no column, so the matrix is in
       the oppositely-ordered fixed-point set;
     * ``"certified"``: the objective came within ``CERTIFY_RTOL * (1 +
       |bound|)`` of ``bound``, so the run is optimal although not a fixed
-      point;
+      point; a start that certifies stops after 0 sweeps, unchanged;
     * ``"max_sweeps"``: the sweep limit cut the run.
 
     Two flags derive from these fields: ``converged`` means the stop reason
     is ``"fixed_point"``, and ``certified`` means the objective is within the
-    tolerance of ``bound`` and so is the optimum over all arrangements (a
-    fixed point can be certified too). ``sweeps`` counts the sweeps of the
-    returned run, ``sweeps_total`` those of every start that ran, and
-    ``restarts_run`` the starts themselves.
+    tolerance of ``bound`` and so is the optimum over all arrangements. A
+    sweep that moves no column leaves the objective as it was checked, so
+    with a bound ``"fixed_point"`` means not certified. ``sweeps`` counts the
+    sweeps of the returned run (0 for a start that certifies),
+    ``sweeps_total`` those of every start that ran, and ``restarts_run`` the
+    starts themselves.
     """
 
     matrix: ArrangementMatrix
@@ -216,12 +218,14 @@ def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
     of g(h) from below. Returns None for a custom aggregation, and for a
     custom transform, whose declared convexity is never checked: for a
     concave g the inequality reverses. The column means are taken over the
-    provenance marginals, so the bound does not depend on the arrangement.
+    provenance marginals, so the bound does not depend on the arrangement;
+    columns that share one marginal object share its mean.
     """
     if cost.agg.kind == "custom" or cost.transform.form == "custom":
         return None
     _check_arity(X, cost.d)
-    means = [np.mean(m.values, keepdims=True) for m in X.provenance]
+    mean = {m: np.mean(m.values, keepdims=True) for m in dict.fromkeys(X.provenance)}
+    means = [mean[m] for m in X.provenance]
     return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
 
 
@@ -285,11 +289,12 @@ def _concave_hull(y: np.ndarray) -> np.ndarray:
 
 def _split_curve(X: ArrangementMatrix, cost: CostFunction) -> Tuple[np.ndarray, str]:
     """The curve ``L`` of :func:`lower_bound` and the name of its split family.
-    Identical weighted columns share one set of prefix sums."""
+    Identical weighted columns (one shared array, or equal values) share one
+    set of prefix sums."""
     n, d = X.n, X.d
     pairs = zip(cost.agg.weights, X.provenance)
     cols = [m.values if w == 1.0 else w * m.values for w, m in pairs]
-    if all(np.array_equal(a, cols[0]) for a in cols[1:]):
+    if all(a is cols[0] or np.array_equal(a, cols[0]) for a in cols[1:]):
         c = _prefix_sums(cols[0])
         m = np.arange(n + 1)
         L = np.full(n + 1, -np.inf)
@@ -435,9 +440,11 @@ def run_ra(
     Termination is guaranteed in exact arithmetic; under floating point the
     ``max_sweeps`` guard ends the run instead of looping. Given a lower
     ``bound`` on every objective (such as :func:`jensen_bound`), the
-    objective is evaluated after each sweep that moved a column, so the run
-    can stop once it certifies; the last of these values is the reported
-    objective. Without a bound the objective is evaluated once, at the end.
+    objective is evaluated on ``X0`` and after each sweep that moved a
+    column, so the run can stop once it certifies; the last of these values
+    is the reported objective. A start that certifies is returned itself,
+    after 0 sweeps. Without a bound the objective is evaluated once, at the
+    end.
     The result records ``bound``; :class:`RaResult` lists the stop reasons.
     Each step places the values of ``X0.provenance``: by the
     :class:`ArrangementMatrix` invariant they are the columns' values sorted,
@@ -458,10 +465,18 @@ def run_ra(
     cols = list(X0.columns)
     sorted_cols = [m.values for m in X0.provenance]
     orders = [None] * len(cols)  # each column's order from its last step
-    rearrangements = 0
-    stop_reason = "max_sweeps"
-    result = value = None  # matrix and objective of cols, once evaluated
-    for sweeps in range(1, max_sweeps + 1):
+    sweeps = rearrangements = 0
+    stop_reason = "certified"
+    # matrix and objective of cols, once evaluated; given a bound, the start
+    # is evaluated first, so a start that certifies is returned unswept
+    result = value = None
+    if bound is not None:
+        result, value = X0, objective(X0, cost)
+    while not _certifies(value, bound):
+        if sweeps == max_sweeps:
+            stop_reason = "max_sweeps"
+            break
+        sweeps += 1
         moved = 0
         for i in range(len(cols)):
             new_col, orders[i] = _step(cols, i, agg, sorted_cols[i], orders[i])
@@ -475,9 +490,6 @@ def run_ra(
         if bound is not None:
             result = ArrangementMatrix(tuple(cols), X0.provenance)
             value = objective(result, cost)
-            if _certifies(value, bound):
-                stop_reason = "certified"
-                break
     if result is None:
         result = ArrangementMatrix(tuple(cols), X0.provenance)
         value = objective(result, cost)
@@ -519,11 +531,13 @@ def run_ra_restarts(
     Restart r >= 1 shuffles X0 with a seed derived from (seed, r); ties on
     the objective keep the earliest restart, so the result is deterministic.
     :func:`lower_bound` is computed once, before the first start, and given
-    to every start, so each run stops at its first certified sweep (see
-    :func:`run_ra`). Restarts stop once the best run is certified (see
-    :class:`RaResult`): a later restart could win only by float noise. The
-    result adds ``restarts_run``, ``sweeps_total`` and the ``bound_form`` of
-    its bound to the best run's.
+    to every start, so each run stops at its first certified sweep, or
+    unswept when its start certifies (see :func:`run_ra`); ``sweeps`` may
+    then be 0, and a ``"fixed_point"`` result is not certified. Restarts
+    stop once the best run is certified (see :class:`RaResult`): a later
+    restart could win only by float noise. The result adds
+    ``restarts_run``, ``sweeps_total`` and the ``bound_form`` of its bound
+    to the best run's.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")

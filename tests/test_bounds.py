@@ -65,10 +65,14 @@ class TestBracketRegression:
             assert got == pytest.approx(mx / 4, rel=1e-12)
 
     def test_single_point_grids(self):
-        # n=1: the lower grid is the left endpoint, the upper grid the right
+        # n=1: the lower grid is the left endpoint, the upper grid the right;
+        # a one-row start sits on its Jensen bound, so neither side sweeps
         r = estimate_inf([uniform(0, 1), uniform(2, 3)], LINEAR2, n=1)
         assert (r.lower_estimate, r.upper_estimate) == (2.0, 4.0)
-        assert r.converged_lower and r.converged_upper
+        for kind in ("lower", "upper"):
+            assert getattr(r, f"stop_reason_{kind}") == "certified"
+            assert getattr(r, f"sweeps_{kind}") == 0
+            assert not getattr(r, f"converged_{kind}")
 
     def test_sup_on_constant_marginals(self):
         from rabounds import empirical

@@ -417,7 +417,8 @@ restarts = 2
 
     def test_stop_reason_and_total_sweeps_columns(self):
         # one sweep certifies the exponential portfolio but not the squared
-        # sum; a one-row grid is a fixed point after its one sweep
+        # sum; a one-row grid certifies before its first sweep; without the
+        # one-sweep cap the squared sum ends at a fixed point, uncertified
         text = """
 max_sweeps = 1
 
@@ -446,19 +447,26 @@ aggregation = sum
 transform = power 2
 n = 1
 """
-        certified, cut, fixed = rows_from_csv(render(run_cases(parse_config(text))))
+        certified, cut, one_row = rows_from_csv(render(run_cases(parse_config(text))))
+        uncapped = text.replace("max_sweeps = 1", "")
+        _, fixed, _ = rows_from_csv(render(run_cases(parse_config(uncapped))))
         for kind in ("lower", "upper"):
             assert certified[f"stop_reason_{kind}"] == "certified"
             assert certified[f"certified_{kind}"] == "true"
             assert certified[f"converged_{kind}"] == "false"
             assert cut[f"stop_reason_{kind}"] == "max_sweeps"
             assert cut[f"certified_{kind}"] == "false"
+            assert one_row[f"stop_reason_{kind}"] == "certified"
+            assert one_row[f"sweeps_{kind}"] == "0"
             assert fixed[f"stop_reason_{kind}"] == "fixed_point"
-            for row in (certified, cut, fixed):
+            assert fixed[f"certified_{kind}"] == "false"
+            for row in (certified, cut, one_row, fixed):
                 fixed_point = row[f"stop_reason_{kind}"] == "fixed_point"
                 assert row[f"converged_{kind}"] == ("true" if fixed_point else "false")
         assert (certified["sweeps_total_lower"], cut["sweeps_total_lower"]) == ("1", "2")
-        for row in (certified, cut, fixed):
+        assert (fixed["sweeps_lower"], fixed["sweeps_upper"]) == ("9", "6")
+        assert fixed["sweeps_total_lower"] == "21"
+        for row in (certified, cut, one_row, fixed):
             assert int(row["sweeps_total_lower"]) >= int(row["sweeps_lower"])
 
 

@@ -441,11 +441,15 @@ class TestStopReason:
         assert res.stop_reason == "max_sweeps" and not res.converged
         assert res.sweeps == 1
 
-    def test_fixed_point_wins_the_tie_with_the_bound(self):
-        # one row: the objective equals the Jensen bound, and no column moves
+    def test_a_start_on_its_bound_stops_before_the_fixed_point_tie(self):
+        # one row: the objective equals the Jensen bound, and no column moves;
+        # given the bound, the start certifies before its first sweep could
+        # reach the fixed point
         X = matrix([4], [7])
         assert objective(X, SQ_SUM) == jensen_bound(X, SQ_SUM)
         res = run_ra(X, SQ_SUM, bound=jensen_bound(X, SQ_SUM))
+        assert res.stop_reason == "certified" and not res.converged and res.sweeps == 0
+        res = run_ra(X, SQ_SUM)
         assert res.stop_reason == "fixed_point" and res.converged and res.sweeps == 1
 
     def test_every_start_gets_the_bound_and_adds_its_sweeps(self, monkeypatch):
@@ -510,11 +514,12 @@ class TestObjectiveCalls:
         return seen
 
     def test_one_evaluation_per_sweep_with_a_bound(self, calls):
-        # uniform_exp_mix certifies after 3 sweeps at n=500
+        # uniform_exp_mix certifies after 3 sweeps at n=500; the start is
+        # evaluated once more, before the first sweep
         X0, cost = portfolio_grid("uniform_exp_mix", 500)
         res = run_ra(X0, cost, bound=jensen_bound(X0, cost))
         assert res.stop_reason == "certified" and res.sweeps == 3
-        assert len(calls) == res.sweeps
+        assert len(calls) == res.sweeps + 1
 
     def test_one_evaluation_without_a_bound(self, calls):
         X0, cost = portfolio_grid("uniform_exp_mix", 500)
