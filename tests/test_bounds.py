@@ -1,5 +1,6 @@
 """Tests for the end-to-end bracket estimation."""
 
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -8,11 +9,13 @@ import pytest
 
 from rabounds import (
     ArrangementMatrix,
+    BoundsResult,
     CostFunction,
     NonFiniteQuantile,
     ValidationFailed,
     brute_force_min,
     discretize,
+    empirical,
     estimate_inf,
     estimate_sup,
     exponential,
@@ -298,6 +301,10 @@ class TestCertificate:
         assert len(calls) == r.restarts_run_lower + 1 == 2  # certified
 
 
+# the upper start certifies here, so the upper side does not sweep
+WIDE_PARETO = ([pareto(2.0)] * 20, CostFunction(sum_agg(20), stop_loss(36)), 200)
+
+
 def _portfolio_exponentials():
     config = parse_config(PORTFOLIO.read_text(), base_dir=PORTFOLIO.parent)
     case = next(c for c in config.cases if c.case_id == "exponentials")
@@ -344,8 +351,12 @@ class TestPerSideCopy:
             _portfolio_exponentials,
             lambda: ([exponential(1)] * 3, CostFunction(sum_agg(3), power(2)), 200, 3, 1),
             _custom_product,
+            lambda: WIDE_PARETO + (3, 1),
         ],
-        ids=["portfolio_exponentials_certified", "exp1_power2_uncertified", "custom_product"],
+        ids=[
+            "portfolio_exponentials_certified", "exp1_power2_uncertified", "custom_product",
+            "pareto2_d20_upper_start_certified",
+        ],
     )
     def test_fields_match_a_hand_built_run_per_side(self, build):
         from rabounds.oracle import comonotonic_value
@@ -529,3 +540,111 @@ class TestStrongerCertificate:
         specs, cost, n, restarts, seed = _custom_product()
         r = estimate_inf(specs, cost, n=n, restarts=restarts, seed=seed)
         assert (r.bound_form_lower, r.bound_form_upper) == (None, None)
+
+
+class TestCertifiedUpperStart:
+    """A run checks its start against its bound before sweeping. Where the
+    lower winner's ranks filled with upper-grid values already certify, the
+    upper side returns that start unswept; starts that do not certify sweep
+    as they did before the check."""
+
+    def test_a_certifying_upper_start_is_not_swept(self, monkeypatch):
+        import rabounds.bounds as bounds_module
+        from rabounds.ra_core import objective
+
+        specs, cost, n = WIDE_PARETO
+        kinds, runs = [], []
+        discretize_, run_restarts = bounds_module.discretize, bounds_module.run_ra_restarts
+
+        def counting(spec, n, kind):
+            kinds.append(kind)
+            return discretize_(spec, n, kind)
+
+        def recording(X0, *args, **kwargs):
+            runs.append((X0, run_restarts(X0, *args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(bounds_module, "discretize", counting)
+        monkeypatch.setattr(bounds_module, "run_ra_restarts", recording)
+        r = estimate_inf(specs, cost, n=n, restarts=3, seed=1)
+        # twenty equal specs: one grid per kind
+        assert kinds == ["lower", "upper"]
+        assert (r.sweeps_upper, r.stop_reason_upper, r.certified_upper) == (0, "certified", True)
+        (_, lower), (start, upper) = runs
+        assert upper.matrix is start
+        want = objective(_on_lower_ranks(lower.matrix, _grid(specs, n, "upper")), cost)
+        assert r.upper_estimate == want / n
+
+    # 3 x Exp(1) under power 2, whose starts never certify: estimates, sweeps
+    # and starts as the rearrangement gave them before runs checked their start
+    @pytest.mark.parametrize(
+        "n, lower, upper, sweeps, sweeps_total_lower",
+        [
+            (500, 9.13007926867932, 9.977487304204773, (10, 5), 31),
+            (1000, 9.223344385560372, 9.646973048478138, (11, 7), 38),
+        ],
+    )
+    def test_uncertified_starts_sweep_as_before(self, n, lower, upper, sweeps, sweeps_total_lower):
+        specs, cost = [exponential(1)] * 3, CostFunction(sum_agg(3), power(2))
+        r = estimate_inf(specs, cost, n=n, restarts=3, seed=1)
+        assert (r.lower_estimate, r.upper_estimate) == (lower, upper)
+        assert (r.sweeps_lower, r.sweeps_upper) == sweeps
+        assert (r.restarts_run_lower, r.sweeps_total_lower) == (3, sweeps_total_lower)
+        assert (r.stop_reason_lower, r.stop_reason_upper) == ("fixed_point", "fixed_point")
+        assert not (r.certified_lower or r.certified_upper)
+
+
+def _returns():
+    return np.loadtxt(Path(__file__).resolve().parent / "data" / "returns.txt")
+
+
+class TestSharedGrids:
+    """Equal specs are truncated and discretized once per grid kind and share
+    that grid; the result equals the one from equal but distinct specs, and
+    from grids built per column (:class:`TestPerSideCopy`)."""
+
+    @pytest.mark.parametrize(
+        "makers, cost, n",
+        [
+            ([lambda: pareto(2.0)] * 20, WIDE_PARETO[1], WIDE_PARETO[2]),
+            ([lambda: exponential(1)] * 3, CostFunction(sum_agg(3), power(2)), 500),
+            (
+                [lambda: uniform(0, 1), lambda: exponential(2), lambda: uniform(0, 1)],
+                CostFunction(weighted_sum([1.0, 0.5, 2.0]), stop_loss(1.5)),
+                300,
+            ),
+            ([lambda: empirical(_returns())] * 3, CostFunction(sum_agg(3), power(2)), 50),
+        ],
+        ids=["pareto2_d20", "exp1_power2", "uniform_exp_uniform_weighted", "empirical_d3"],
+    )
+    def test_one_spec_object_matches_equal_distinct_specs(self, makers, cost, n):
+        apart = [make() for make in makers]
+        assert len({id(s) for s in apart}) == len(apart)
+        first = {}
+        shared = [first.setdefault(s, s) for s in apart]
+        assert len({id(s) for s in shared}) == len(first) < len(apart)
+        a = estimate_inf(shared, cost, n=n, restarts=3, seed=1)
+        b = estimate_inf(apart, cost, n=n, restarts=3, seed=1)
+        for field in dataclasses.fields(BoundsResult):
+            if not field.name.startswith("runtime_ms"):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+        assert estimate_sup(shared, cost, n=n) == estimate_sup(apart, cost, n=n)
+
+    def test_each_spec_is_hashed_once(self, monkeypatch):
+        from rabounds.bounds import _prepare_specs
+        from rabounds.marginals import MarginalSpec
+
+        hashes = []
+        hash_ = MarginalSpec.__hash__
+
+        def counting(spec):
+            hashes.append(spec.family)
+            return hash_(spec)
+
+        specs = [empirical(_returns()), exponential(1), empirical(_returns()), uniform(0, 1)]
+        monkeypatch.setattr(MarginalSpec, "__hash__", counting)
+        prepared, windows, auto = _prepare_specs(specs, CostFunction(sum_agg(4), identity()), True)
+        assert len(hashes) == len(specs)
+        assert prepared[0] is prepared[2] and prepared[0] is specs[0]
+        assert auto == (False, True, False, False)
+        assert windows[1] is not None and windows.count(None) == 3

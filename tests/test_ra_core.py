@@ -521,6 +521,17 @@ class TestObjectiveCalls:
         assert res.stop_reason == "certified" and res.sweeps == 3
         assert len(calls) == res.sweeps + 1
 
+    def test_a_certified_start_is_returned_unswept(self, calls):
+        # antitone columns sum to 3 in every row, the constant of the Jensen
+        # bound, so the start is optimal before any sweep
+        X = matrix([0, 1, 2, 3], [3, 2, 1, 0])
+        res = run_ra(X, SQ_SUM, bound=jensen_bound(X, SQ_SUM))
+        assert len(calls) == 1
+        assert res.matrix is X
+        assert (res.sweeps, res.column_rearrangements, res.sweeps_total) == (0, 0, 0)
+        assert res.stop_reason == "certified" and res.certified and not res.converged
+        assert res.objective == objective(X, SQ_SUM) == 36.0
+
     def test_one_evaluation_without_a_bound(self, calls):
         X0, cost = portfolio_grid("uniform_exp_mix", 500)
         res = run_ra(X0, cost)
