@@ -19,8 +19,8 @@ certificate, the majorization bound of :func:`rabounds.ra_core.lower_bound`,
 and the form that gave it. A side whose best run reaches its certificate is
 certified optimal on its grid: the run stops at that sweep, or before any
 sweep when its start certifies, and the lower side skips its remaining
-restarts. Equal marginal specs are truncated and discretized once per grid
-and share that grid.
+restarts. Equal marginal specs are discretized once per grid kind and share
+that grid.
 """
 
 from __future__ import annotations
@@ -110,28 +110,25 @@ class BoundsResult:
 
 
 def _prepare_specs(specs: Sequence[MarginalSpec], cost: CostFunction, auto_truncate: bool):
-    """Check the arity, then truncate each distinct spec once: the specs to
-    discretize (equal specs share one object), the windows used and which
-    of them this call added."""
+    """Check the arity, then truncate: the specs to discretize, the windows
+    used and which of them this call added."""
     if len(specs) != cost.d:
         raise ValidationFailed(f"cost expects {cost.d} marginals, got {len(specs)}")
-    # one lookup per spec: hashing an empirical spec hashes all its values
-    first = {}
-    slots = [first.setdefault(spec, len(first)) for spec in specs]
-    distinct = list(first)
-    adjusted = [truncate_unbounded_sides(s) if auto_truncate else s for s in distinct]
-    prepared = [adjusted[k] for k in slots]
+    prepared = []
+    auto_flags = []
+    for spec in specs:
+        adjusted = truncate_unbounded_sides(spec) if auto_truncate else spec
+        prepared.append(adjusted)
+        auto_flags.append(adjusted is not spec)
     windows = tuple(s.truncation for s in prepared)
-    auto_flags = tuple(adjusted[k] is not distinct[k] for k in slots)
-    return prepared, windows, auto_flags
+    return prepared, windows, tuple(auto_flags)
 
 
 def _grids(prepared: Sequence[MarginalSpec], n: int, kind: str) -> list:
     """One ``kind`` grid per prepared spec, discretized once per distinct
-    object, so the equal specs of :func:`_prepare_specs` share one grid."""
-    distinct = {id(s): s for s in prepared}
-    grids = {key: discretize(s, n, kind) for key, s in distinct.items()}
-    return [grids[id(s)] for s in prepared]
+    spec, so equal specs share one grid."""
+    grids = {s: discretize(s, n, kind) for s in dict.fromkeys(prepared)}
+    return [grids[s] for s in prepared]
 
 
 def _on_ranks(

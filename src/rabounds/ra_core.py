@@ -218,14 +218,12 @@ def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
     of g(h) from below. Returns None for a custom aggregation, and for a
     custom transform, whose declared convexity is never checked: for a
     concave g the inequality reverses. The column means are taken over the
-    provenance marginals, so the bound does not depend on the arrangement;
-    columns that share one marginal object share its mean.
+    provenance marginals, so the bound does not depend on the arrangement.
     """
     if cost.agg.kind == "custom" or cost.transform.form == "custom":
         return None
     _check_arity(X, cost.d)
-    mean = {m: np.mean(m.values, keepdims=True) for m in dict.fromkeys(X.provenance)}
-    means = [mean[m] for m in X.provenance]
+    means = [np.mean(m.values, keepdims=True) for m in X.provenance]
     return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
 
 
@@ -289,12 +287,11 @@ def _concave_hull(y: np.ndarray) -> np.ndarray:
 
 def _split_curve(X: ArrangementMatrix, cost: CostFunction) -> Tuple[np.ndarray, str]:
     """The curve ``L`` of :func:`lower_bound` and the name of its split family.
-    Identical weighted columns (one shared array, or equal values) share one
-    set of prefix sums."""
+    Identical weighted columns share one set of prefix sums."""
     n, d = X.n, X.d
     pairs = zip(cost.agg.weights, X.provenance)
     cols = [m.values if w == 1.0 else w * m.values for w, m in pairs]
-    if all(a is cols[0] or np.array_equal(a, cols[0]) for a in cols[1:]):
+    if all(np.array_equal(a, cols[0]) for a in cols[1:]):
         c = _prefix_sums(cols[0])
         m = np.arange(n + 1)
         L = np.full(n + 1, -np.inf)

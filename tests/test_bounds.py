@@ -599,9 +599,10 @@ def _returns():
 
 
 class TestSharedGrids:
-    """Equal specs are truncated and discretized once per grid kind and share
-    that grid; the result equals the one from equal but distinct specs, and
-    from grids built per column (:class:`TestPerSideCopy`)."""
+    """Equal specs are discretized once per grid kind and share that grid;
+    the result equals the one from grids built per column
+    (:class:`TestPerSideCopy`), whether the equal specs are one object or
+    distinct ones."""
 
     @pytest.mark.parametrize(
         "makers, cost, n",
@@ -630,21 +631,18 @@ class TestSharedGrids:
                 assert getattr(a, field.name) == getattr(b, field.name), field.name
         assert estimate_sup(shared, cost, n=n) == estimate_sup(apart, cost, n=n)
 
-    def test_each_spec_is_hashed_once(self, monkeypatch):
-        from rabounds.bounds import _prepare_specs
-        from rabounds.marginals import MarginalSpec
+    def test_equal_distinct_specs_share_one_grid(self, monkeypatch):
+        import rabounds.bounds as bounds_module
 
-        hashes = []
-        hash_ = MarginalSpec.__hash__
+        calls = []
+        discretize_ = bounds_module.discretize
 
-        def counting(spec):
-            hashes.append(spec.family)
-            return hash_(spec)
+        def counting(spec, n, kind):
+            calls.append(spec.family)
+            return discretize_(spec, n, kind)
 
-        specs = [empirical(_returns()), exponential(1), empirical(_returns()), uniform(0, 1)]
-        monkeypatch.setattr(MarginalSpec, "__hash__", counting)
-        prepared, windows, auto = _prepare_specs(specs, CostFunction(sum_agg(4), identity()), True)
-        assert len(hashes) == len(specs)
-        assert prepared[0] is prepared[2] and prepared[0] is specs[0]
-        assert auto == (False, True, False, False)
-        assert windows[1] is not None and windows.count(None) == 3
+        monkeypatch.setattr(bounds_module, "discretize", counting)
+        specs = [empirical(_returns()), exponential(1), empirical(_returns()), exponential(1)]
+        grids = bounds_module._grids(specs, 40, "lower")
+        assert calls == ["empirical", "exponential"]
+        assert grids[0] is grids[2] and grids[1] is grids[3] and grids[0] is not grids[1]
