@@ -39,8 +39,9 @@ from .ra_core import DEFAULT_MAX_SWEEPS, ArrangementMatrix, RaResult, run_ra_res
 
 __all__ = ["BoundsResult", "estimate_inf", "estimate_sup"]
 
-# RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper.
-_SIDE_FIELDS = ("sweeps", "certified", "stop_reason", "bound_form")
+# RaResult values copied unchanged into BoundsResult as <name>_lower / <name>_upper;
+# certified_* and converged_* are read from stop_reason_*.
+_SIDE_FIELDS = ("sweeps", "stop_reason", "bound_form")
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,13 @@ class BoundsResult:
     below them. ``bound_form_*`` names the form that gave ``bound_*``:
     ``"jensen"``, or the grid's one majorization family, ``"single_column"``
     where the weighted columns differ and ``"symmetric_split"`` where they
-    are identical (None with no bound). ``certified_*`` says the side's
-    estimate is the optimum of its grid.
+    are identical (None with no bound).
 
     ``sweeps_*`` and ``stop_reason_*`` describe the winning run:
     ``stop_reason_*`` is ``"fixed_point"``, ``"certified"`` (the run stopped
     on the bound, and the estimate is the grid optimum) or ``"max_sweeps"``.
-    ``converged_*`` is derived from it. Only the lower side restarts:
+    ``certified_*`` and ``converged_*`` read it, as
+    :class:`~rabounds.ra_core.RaResult` does. Only the lower side restarts:
     ``restarts_run_lower`` counts the starts it ran (at most ``restarts``,
     fewer once its best run is certified) and ``sweeps_total_lower`` sums
     their sweeps. The upper side ignores ``restarts`` and ``seed``: its one
@@ -91,14 +92,20 @@ class BoundsResult:
     auto_truncated: Tuple[bool, ...]
     bound_lower: Optional[float]
     bound_upper: Optional[float]
-    certified_lower: bool
-    certified_upper: bool
     restarts_run_lower: int
     sweeps_total_lower: int
     stop_reason_lower: str
     stop_reason_upper: str
     bound_form_lower: Optional[str]
     bound_form_upper: Optional[str]
+
+    @property
+    def certified_lower(self) -> bool:
+        return self.stop_reason_lower == "certified"
+
+    @property
+    def certified_upper(self) -> bool:
+        return self.stop_reason_upper == "certified"
 
     @property
     def converged_lower(self) -> bool:

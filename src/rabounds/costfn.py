@@ -364,9 +364,13 @@ def validate_cost(cost: CostFunction, low: float = 0.0, high: float = 1.0) -> Co
     on the sample once, then once per coordinate on the sample bumped in
     that coordinate. Raises :class:`ValidationFailed` on any violated check
     or non-finite value at a sampled or derived point and, chained, on any
-    error a custom callable raises. Built-in aggregations pass unsampled,
-    even with a custom transform.
+    error a custom callable raises. Raises ``ValueError`` unless ``low <
+    high`` and both are finite: a point box would pass every check
+    vacuously. Built-in aggregations pass unsampled, even with a custom
+    transform.
     """
+    if not (np.isfinite(low) and np.isfinite(high) and low < high):
+        raise ValueError(f"need finite low < high, got low={low} and high={high}")
     if cost.agg.kind != "custom":
         return replace(cost, validated=True)
     agg = cost.agg

@@ -99,12 +99,17 @@ def compare(x, y) -> OrderRelation:
 
     Every prefix-sum comparison uses the absolute tolerance ``TOL``; the
     majorized verdict additionally requires total sums equal within ``TOL``.
-    Incomparable is a valid verdict, not an error.
+    Incomparable is a valid verdict, not an error. Raises ``ValueError``
+    naming the argument when x or y holds a NaN or an infinity: their prefix
+    sums have no order within a tolerance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatch(f"need equal-length vectors, got {x.shape} and {y.shape}")
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must hold only finite values")
     xd, yd = sort_desc(x), sort_desc(y)
     dpx, dpy = np.cumsum(xd), np.cumsum(yd)
     apx, apy = np.cumsum(xd[::-1]), np.cumsum(yd[::-1])

@@ -158,12 +158,14 @@ class RaResult:
       point; a start that certifies stops after 0 sweeps, unchanged;
     * ``"max_sweeps"``: the sweep limit cut the run.
 
-    Two flags derive from these fields: ``converged`` means the stop reason
-    is ``"fixed_point"``, and ``certified`` means the objective is within the
-    tolerance of ``bound`` and so is the optimum over all arrangements. A
-    sweep that moves no column leaves the objective as it was checked, so
-    with a bound ``"fixed_point"`` means not certified. ``sweeps`` counts the
-    sweeps of the returned run (0 for a start that certifies),
+    Two flags read the stop reason: ``converged`` means ``"fixed_point"``
+    and ``certified`` means ``"certified"``, the optimum over all
+    arrangements. :func:`run_ra` checks the objective against ``bound``
+    before the sweep limit and after every sweep that moved a column, and a
+    sweep that moves no column leaves the checked value as it was, so a run
+    is certified exactly when its objective is within the tolerance of
+    ``bound``, and a ``"fixed_point"`` run is never certified. ``sweeps``
+    counts the sweeps of the returned run (0 for a start that certifies),
     ``sweeps_total`` those of every start that ran, and ``restarts_run`` the
     starts themselves.
     """
@@ -184,7 +186,7 @@ class RaResult:
 
     @property
     def certified(self) -> bool:
-        return _certifies(self.objective, self.bound)
+        return self.stop_reason == "certified"
 
 
 def _check_arity(X: ArrangementMatrix, d: int) -> None:

@@ -626,9 +626,13 @@ class TestSharedGrids:
         assert len({id(s) for s in shared}) == len(first) < len(apart)
         a = estimate_inf(shared, cost, n=n, restarts=3, seed=1)
         b = estimate_inf(apart, cost, n=n, restarts=3, seed=1)
-        for field in dataclasses.fields(BoundsResult):
-            if not field.name.startswith("runtime_ms"):
-                assert getattr(a, field.name) == getattr(b, field.name), field.name
+        names = [f.name for f in dataclasses.fields(BoundsResult)]
+        # the flags read from stop_reason_* are properties, not fields
+        names += [f"{flag}_{kind}" for flag in ("certified", "converged")
+                  for kind in ("lower", "upper")]
+        for name in names:
+            if not name.startswith("runtime_ms"):
+                assert getattr(a, name) == getattr(b, name), name
         assert estimate_sup(shared, cost, n=n) == estimate_sup(apart, cost, n=n)
 
     def test_equal_distinct_specs_share_one_grid(self, monkeypatch):

@@ -461,8 +461,9 @@ n = 1
             assert fixed[f"stop_reason_{kind}"] == "fixed_point"
             assert fixed[f"certified_{kind}"] == "false"
             for row in (certified, cut, one_row, fixed):
-                fixed_point = row[f"stop_reason_{kind}"] == "fixed_point"
-                assert row[f"converged_{kind}"] == ("true" if fixed_point else "false")
+                for flag, reason in (("converged", "fixed_point"), ("certified", "certified")):
+                    holds = row[f"stop_reason_{kind}"] == reason
+                    assert row[f"{flag}_{kind}"] == ("true" if holds else "false")
         assert (certified["sweeps_total_lower"], cut["sweeps_total_lower"]) == ("1", "2")
         assert (fixed["sweeps_lower"], fixed["sweeps_upper"]) == ("9", "6")
         assert fixed["sweeps_total_lower"] == "21"

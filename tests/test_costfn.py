@@ -447,6 +447,24 @@ class TestValidateCost:
         with pytest.raises(ValidationFailed, match="non-finite"):
             validate_cost(CostFunction(agg, g))
 
+    @pytest.mark.parametrize(
+        "low, high", [(0.5, 0.5), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)]
+    )
+    def test_degenerate_or_non_finite_box_rejected(self, low, high):
+        # max is submodular, so the unit box refutes it; a point box would
+        # pass every sampled check without testing anything
+        both = custom_agg(
+            2,
+            h=np.maximum,
+            h2=np.maximum,
+            hd1=lambda v: v,
+            monotone_direction="increasing",
+        )
+        with pytest.raises(ValidationFailed):
+            validate_cost(CostFunction(both, identity()))
+        with pytest.raises(ValueError, match="low < high"):
+            validate_cost(CostFunction(both, identity()), low=low, high=high)
+
     def test_h_runs_once_plus_once_per_coordinate(self, monkeypatch):
         # once on the sample, shared by the decomposition and the monotonicity
         # baseline, then once per bumped coordinate

@@ -55,6 +55,16 @@ class TestCompare:
         with pytest.raises(LengthMismatch):
             compare((1, 2), (1, 2, 3))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        # checked before any sort or prefix sum, so no RuntimeWarning is raised
+        with pytest.raises(ValueError, match="^x "):
+            compare((bad, 1.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="^y "):
+            compare((1.0, 2.0), (1.0, bad))
+        with pytest.raises(ValueError, match="^x "):
+            compare((bad,), (bad,))
+
     def test_witness_prefix_sums_exposed(self):
         rel = compare((1, 1, 1), (3, 0, 0))
         assert np.array_equal(rel.desc_prefix_x, [1, 2, 3])

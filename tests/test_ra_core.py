@@ -487,17 +487,22 @@ class TestStopReason:
         # values on a coarse grid, so ties are common
         X = matrix(*(rng.integers(0, 4, size=(d, n)) / 2.0))
         cost = CostFunction(sum_agg(d), transform)
-        for bound in (None, jensen_bound(X, cost)):
-            res = run_ra(X, cost, max_sweeps=max_sweeps, bound=bound)
+        bounds = (None, jensen_bound(X, cost), math.inf, -math.inf, math.nan, objective(X, cost))
+        runs = [(run_ra(X, cost, max_sweeps=max_sweeps, bound=b), b) for b in bounds]
+        restarted = run_ra_restarts(X, cost, restarts=3, seed=seed, max_sweeps=max_sweeps)
+        runs.append((restarted, lower_bound(X, cost)[0]))
+        for res, bound in runs:
             assert res.stop_reason in STOP_REASONS
             assert res.converged == (res.stop_reason == "fixed_point")
             if bound is None:
                 assert res.stop_reason != "certified"
+            # the tolerance test and the stop reason are one fact
             assert res.certified == (
                 bound is not None
                 and res.objective <= bound + CERTIFY_RTOL * (1 + abs(bound))
             )
-            assert res.bound == bound
+            assert res.certified == (res.stop_reason == "certified")
+            assert res.bound == bound or (math.isnan(res.bound) and math.isnan(bound))
 
 
 class TestObjectiveCalls:
