@@ -171,22 +171,22 @@ def _opposite_order(
 
 
 def _opposite_violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The batch predicate: one flag per column of ``(n, rows)`` blocks.
+    """The batch predicate: one flag per pair of vectors along axis 0.
 
-    Column k of x and y holds one pair of vectors; its flag is True when
-    some index pair has ``x_r > x_s and y_r > y_s`` or ``x_r < x_s and
-    y_r < y_s``, the sign form of ``(x_r - x_s) * (y_r - y_s) > 0``, or
-    when the column holds a NaN in x or y. The flags equal those of
-    :func:`_opposite_order` on each pair. The test runs over all n(n-1)/2
-    index pairs on whole rows of the block, with no sort: for the small n
-    of an exhaustive scan that beats sorting every column. Only values are
+    x and y are ``(n, ...)`` arrays whose trailing axes broadcast, such as
+    ``(n, rows)`` blocks, or an ``(n, 1, w)`` table against ``(n, c, 1)``
+    partials for a ``(c, w)`` table of flags. The vectors ``x[:, k]`` and
+    ``y[:, k]`` (k over the broadcast trailing axes) form one pair; its
+    flag is True when some index pair has ``x_r > x_s and y_r > y_s``, the
+    sign form of ``(x_r - x_s) * (y_r - y_s) > 0`` over ordered pairs, or
+    when the pair holds a NaN in x or y. The flags equal those of
+    :func:`_opposite_order` on each pair. The test compares all n**2
+    ordered index pairs at once, with no sort: for the small n of an
+    exhaustive scan that beats sorting every pair. Only values are
     compared, so nothing can underflow.
     """
-    bad = np.isnan(x).any(axis=0) | np.isnan(y).any(axis=0)
-    for r in range(x.shape[0] - 1):
-        xr, yr, xs, ys = x[r], y[r], x[r + 1 :], y[r + 1 :]
-        bad |= (((xr > xs) & (yr > ys)) | ((xr < xs) & (yr < ys))).any(axis=0)
-    return bad
+    bad = ((x[:, None] > x[None]) & (y[:, None] > y[None])).any(axis=(0, 1))
+    return bad | np.isnan(x).any(axis=0) | np.isnan(y).any(axis=0)
 
 
 def is_oppositely_ordered(x, y) -> bool:

@@ -16,13 +16,16 @@ itself to skip such a case.
 Every aggregation kind takes one vectorized path that evaluates
 arrangements in blocks through the costfn row functions. A block broadcasts
 the fixed first column, the other columns' permutations gathered once per
-prefix, and a run of the last column's permutation table to one shape, so
-no arrangement is gathered row by row. The restricted minimum runs the
+prefix, and a run of the last column's permutation table to one ``(n, c,
+w)`` shape, row index first, so no arrangement is gathered row by row and
+the objective adds whole ``(c, w)`` slabs. The restricted minimum runs the
 batch predicate ``majorization._opposite_violations``, an all-pairs test
 that flags exactly what the rearrangement step's sort-based
-``_opposite_order`` flags, only on arrangements whose objective is below the
-best found so far, in objective order, and stops at the first that passes;
-the result is the same as filtering every arrangement.
+``_opposite_order`` flags: once per block on the last column, whose partial
+depends on the prefix alone, and then on the other columns only of
+arrangements whose objective is below the best found so far, in objective
+order, stopping at the first that passes; the result is the same as
+filtering every arrangement.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ __all__ = [
 DEFAULT_BUDGET = 1_000_000
 
 # a block holds at most _CHUNK_CELLS // n**2 arrangements, which bounds each
-# of its d (c, w, n) arrays and their temporaries to _CHUNK_CELLS // n cells;
-# its d inputs are broadcast views, so only the prefixes take memory
+# of its d (n, c, w) arrays and their temporaries to _CHUNK_CELLS // n cells,
+# and the predicate's (n, n, c, w) pair tables to _CHUNK_CELLS; its d inputs
+# are broadcast views, so only the prefixes take memory
 _CHUNK_CELLS = 1 << 21
 
 # rows in the restricted scan's first predicate batch; each later batch doubles
@@ -140,25 +144,32 @@ def _first_feasible(
     arrangement is oppositely ordered, the lowest index among equal
     objectives; -1 if none.
 
-    ``vals`` are the block's d ``(c, w, n)`` views and ``obj`` its ``c * w``
-    objectives, flattened. Only rows with ``obj < best`` are checked, in
-    ``(objective, index)`` order, in batches of 64, 128, ... rows
-    (:func:`_take_least`), and the first feasible row ends the search: the
-    predicate sees at most about twice the rows before that row, even when
-    every objective ties. That row is the one
-    ``argmin(where(feasible, obj, inf))`` picks among them. A batch is
-    gathered as C-ordered ``(n, rows)`` blocks, whose whole rows
+    ``vals`` are the block's d ``(n, c, w)`` views and ``obj`` its ``(c,
+    w)`` objectives. The last column's partial does not depend on the last
+    column, so it is aggregated once per prefix, from the ``(n, c, 1)``
+    slices, and one call of ``_opposite_violations`` against the last
+    table's ``(n, 1, w)`` slice flags every row whose last column violates;
+    those rows are dropped. Of the rows left, only those with ``obj <
+    best`` are checked on the other d - 1 columns, in ``(objective,
+    index)`` order, in batches of 64, 128, ... rows (:func:`_take_least`),
+    and the first feasible row ends the search: the predicate sees at most
+    about twice the rows before that row, even when every objective ties.
+    That row is the one ``argmin(where(feasible, obj, inf))`` picks. A
+    batch is gathered as ``(n, rows)`` blocks, whose whole rows
     ``_opposite_violations`` compares.
     """
+    d = len(vals)
+    part = eval_partial_rows(agg, d - 1, [v[:, :, :1] for v in vals[:-1]])
+    obj = np.where(_opposite_violations(vals[-1][:, :1], part), np.inf, obj).ravel()
     cand = np.flatnonzero(obj < best)
-    width = vals[0].shape[1]
+    width = vals[0].shape[2]
     size = _FIRST_BATCH
     while cand.size:
         rows, cand = _take_least(cand, obj, min(size, cand.size))
         prefix, last = np.divmod(rows, width)
-        sub = [np.ascontiguousarray(v[prefix, last].T) for v in vals]
+        sub = [v[:, prefix, last] for v in vals]
         feasible = np.ones(rows.size, dtype=bool)
-        for i in range(len(sub)):
+        for i in range(d - 1):
             # the partial is aggregated from the other columns, as in the
             # loop; deriving it as H - w_i*vals_i cancels catastrophically
             # on tied values and can flag exact ties as violations
@@ -176,19 +187,19 @@ def _blocks(X: ArrangementMatrix, perms: np.ndarray):
 
     An arrangement is a prefix, one row of ``perms`` for each column from
     the second to the second-to-last, followed by one row for the last
-    column. A block broadcasts the fixed first column ``(1, 1, n)``, the
-    leading columns gathered for c prefixes ``(c, 1, n)`` and w rows of the
-    last column's table ``(1, w, n)`` to d read-only ``(c, w, n)`` views,
-    so only the prefixes are gathered. Its arrangement ``(a, b)`` has flat
-    index ``lo + a * w + b``. A block holds at most ``max(1, _CHUNK_CELLS
+    column. A block broadcasts the fixed first column ``(n, 1, 1)``, the
+    leading columns gathered for c prefixes ``(n, c, 1)`` and w rows of the
+    last column's table ``(n, 1, w)`` to d read-only ``(n, c, w)`` views,
+    row index first, so only the prefixes are gathered. Its arrangement
+    ``(a, b)`` has flat index ``lo + a * w + b``. A block holds at most ``max(1, _CHUNK_CELLS
     // n**2)`` arrangements: whole prefixes when the last table fits, else
     one prefix and a slice of the last table.
     """
     n, d = X.n, X.d
     count = perms.shape[0]
-    last = X.columns[d - 1][perms][None]
-    leading = [X.columns[i][perms] for i in range(1, d - 1)]
-    base = X.columns[0][None, None]
+    last = X.columns[d - 1][perms.T][:, None]
+    leading = [X.columns[i][perms.T] for i in range(1, d - 1)]
+    base = X.columns[0][:, None, None]
     chunk = max(1, _CHUNK_CELLS // (n * n))
     per_block = max(1, chunk // count)
     step = min(chunk, count)
@@ -196,9 +207,9 @@ def _blocks(X: ArrangementMatrix, perms: np.ndarray):
     for p in range(0, prefixes, per_block):
         ids = np.arange(p, min(p + per_block, prefixes))
         ids = np.unravel_index(ids, (count,) * (d - 2)) if leading else ()
-        heads = [t[idc][:, None] for t, idc in zip(leading, ids)]
+        heads = [t[:, idc][:, :, None] for t, idc in zip(leading, ids)]
         for j in range(0, count, step):
-            yield p * count + j, np.broadcast_arrays(base, *heads, last[:, j : j + step])
+            yield p * count + j, np.broadcast_arrays(base, *heads, last[:, :, j : j + step])
 
 
 def _scan(
@@ -211,14 +222,18 @@ def _scan(
 
     mode is "min", "max", or "min_restricted"; returns the value and the
     first arrangement attaining it. Each block (:func:`_blocks`) is d
-    broadcast ``(c, w, n)`` views evaluated by the costfn row functions, so
-    every aggregation kind takes this one path. "min_restricted" wants the
-    least objective among rows in which every column is oppositely ordered
-    to its partial; it runs the batch predicate ``_opposite_violations``
-    (:func:`_first_feasible`) only on rows below the best so far, in
-    ``(objective, index)`` order, so the value and the arrangement are
-    those of filtering every row and taking the argmin. The result does
-    not depend on the block size.
+    broadcast ``(n, c, w)`` views evaluated by the costfn row functions, so
+    every aggregation kind takes this one path; its objectives add the n
+    rows' ``(c, w)`` slabs in row order. Up to n = 7 that is the order of
+    ``np.sum`` in :func:`~rabounds.ra_core.objective`; from n = 8 on,
+    ``np.sum`` adds pairwise, so the two can differ in the last bits.
+    "min_restricted" wants the least objective among rows in which every
+    column is oppositely ordered to its partial; it drops the rows whose
+    last column violates and runs the batch predicate
+    ``_opposite_violations`` (:func:`_first_feasible`) on the other columns
+    only of rows below the best so far, in ``(objective, index)`` order, so
+    the value and the arrangement are those of filtering every row and
+    taking the argmin. The result does not depend on the block size.
     """
     _check_arity(X, cost.d)
     _check_budget(X, budget)
@@ -228,16 +243,16 @@ def _scan(
     best = np.inf
     best_flat = -1
     for lo, vals in _blocks(X, perms):
-        obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=-1).ravel()
+        obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=0)
         if not np.all(np.isfinite(obj)):
             raise ValidationFailed("cost evaluates to a non-finite objective")
         if mode == "min_restricted":
             k = _first_feasible(agg, vals, obj, best)
             if k >= 0:
-                best = float(obj[k])
+                best = float(obj.flat[k])
                 best_flat = lo + k
             continue
-        scored = sign * obj
+        scored = sign * obj.ravel()
         k = int(np.argmin(scored))
         if scored[k] < best:
             best = float(scored[k])

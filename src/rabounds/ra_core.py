@@ -220,12 +220,18 @@ def jensen_bound(X: ArrangementMatrix, cost: CostFunction) -> Optional[float]:
     of g(h) from below. Returns None for a custom aggregation, and for a
     custom transform, whose declared convexity is never checked: for a
     concave g the inequality reverses. The column means are taken over the
-    provenance marginals, so the bound does not depend on the arrangement.
+    provenance marginals, so the bound does not depend on the arrangement;
+    a grid shared by several columns is averaged once.
     """
     if cost.agg.kind == "custom" or cost.transform.form == "custom":
         return None
     _check_arity(X, cost.d)
-    means = [np.mean(m.values, keepdims=True) for m in X.provenance]
+    # equal specs share one grid object, so its mean is keyed by identity
+    shared = {}
+    for m in X.provenance:
+        if id(m) not in shared:
+            shared[id(m)] = np.mean(m.values, keepdims=True)
+    means = [shared[id(m)] for m in X.provenance]
     return X.n * float(eval_g_rows(cost.transform, eval_h_rows(cost.agg, means))[0])
 
 
@@ -293,7 +299,7 @@ def _split_curve(X: ArrangementMatrix, cost: CostFunction) -> Tuple[np.ndarray, 
     n, d = X.n, X.d
     pairs = zip(cost.agg.weights, X.provenance)
     cols = [m.values if w == 1.0 else w * m.values for w, m in pairs]
-    if all(np.array_equal(a, cols[0]) for a in cols[1:]):
+    if all(a is cols[0] or np.array_equal(a, cols[0]) for a in cols[1:]):
         c = _prefix_sums(cols[0])
         m = np.arange(n + 1)
         L = np.full(n + 1, -np.inf)
@@ -443,7 +449,8 @@ def run_ra(
     column, so the run can stop once it certifies; the last of these values
     is the reported objective. A start that certifies is returned itself,
     after 0 sweeps. Without a bound the objective is evaluated once, at the
-    end.
+    end. Raises ``ValueError`` unless ``bound`` is None or finite: an
+    infinite bound would certify any start, and a NaN never certifies.
     The result records ``bound``; :class:`RaResult` lists the stop reasons.
     Each step places the values of ``X0.provenance``: by the
     :class:`ArrangementMatrix` invariant they are the columns' values sorted,
@@ -459,6 +466,8 @@ def run_ra(
         )
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if bound is not None and not np.isfinite(bound):
+        raise ValueError(f"bound must be None or finite, got {bound}")
     _check_arity(X0, cost.d)
     agg = cost.agg
     cols = list(X0.columns)

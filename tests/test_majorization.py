@@ -213,6 +213,34 @@ def test_batched_predicate_matches_all_pairs_definition_per_row(batch, data):
             assert warm_violated == one_violated
 
 
+def test_broadcast_table_flags_what_the_materialized_pairs_flag():
+    # the oracle's last-column prefilter calls the predicate on an (n, 1, w)
+    # table against (n, c, 1) partials; the (c, w) flags must equal those of
+    # the (n, c*w) block holding every pair, and the sort kernel's, on ties,
+    # both zeros, both infinities, and a NaN placed in x, in y or in neither
+    rng = np.random.default_rng(26)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, -np.inf, np.inf])
+    for n in range(1, 7):
+        for nan_in in (None, "x", "y"):
+            c, w = rng.integers(1, 9, size=2)
+            x = rng.choice(values, size=(n, 1, w))
+            y = rng.choice(values, size=(n, c, 1))
+            if nan_in == "x":
+                x[rng.integers(n), 0, rng.integers(w)] = np.nan
+            elif nan_in == "y":
+                y[rng.integers(n), rng.integers(c), 0] = np.nan
+            flags = _opposite_violations(x, y)
+            assert flags.shape == (c, w)
+            pairs = [np.broadcast_to(v, (n, c, w)).reshape(n, c * w) for v in (x, y)]
+            assert flags.ravel().tolist() == _opposite_violations(*pairs).tolist()
+            want = [[_opposite_order(x[:, 0, b], y[:, a, 0])[1] for b in range(w)] for a in range(c)]
+            assert flags.tolist() == want
+            if nan_in == "x":
+                assert flags[:, np.isnan(x[:, 0]).any(axis=0)].all()
+            elif nan_in == "y":
+                assert flags[np.isnan(y[:, :, 0]).any(axis=0)].all()
+
+
 def test_batch_predicate_flags_what_the_sort_kernel_flags():
     # seeded (rows, n) blocks drawn from ties, both zeros, both infinities
     # and NaN, n = 1..8; the batch predicate compares pairs, the 1-D kernel

@@ -359,12 +359,22 @@ class TestRestrictedMin:
 
     @staticmethod
     def _count_predicate_rows(monkeypatch):
-        rows = []
+        """Flags of the 1-D batch calls, and the flag-table shapes of the
+        last-column prefilter calls, which return one flag per row of a
+        whole block."""
+        rows, tables = [], []
         check = oracle._opposite_violations
-        monkeypatch.setattr(
-            oracle, "_opposite_violations", lambda x, y: rows.append(x.shape[1]) or check(x, y)
-        )
-        return rows
+
+        def counting(x, y):
+            flags = check(x, y)
+            if flags.ndim == 1:
+                rows.append(flags.size)
+            else:
+                tables.append(flags.shape)
+            return flags
+
+        monkeypatch.setattr(oracle, "_opposite_violations", counting)
+        return rows, tables
 
     def test_predicate_skips_rows_that_cannot_win(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -372,12 +382,15 @@ class TestRestrictedMin:
         X = matrix(*rng.uniform(size=(3, 5)))
         cost = CostFunction(weighted_sum(w), stop_loss(float(0.5 * w.sum())))
         want, _, _ = restricted_reference(X, cost)
-        rows = self._count_predicate_rows(monkeypatch)
+        rows, tables = self._count_predicate_rows(monkeypatch)
         assert brute_force_min_over_opposite_set(X, cost) == want
-        # filtering every arrangement checks d * 14400 = 43200 rows; here the
-        # first batch of 64 holds a feasible row, so 192 are checked
+        # filtering every arrangement checks d * 14400 = 43200 rows; here one
+        # block holds them all, its prefilter drops the rows whose last
+        # column violates, and the first batch of 64 holds a feasible row,
+        # so 64 rows are checked on each of the other two columns
         assert arrangement_count(X.n, X.d) == 14400
-        assert 0 < sum(rows) <= X.d * arrangement_count(X.n, X.d) // 50
+        assert tables == [(120, 120)]
+        assert 0 < sum(rows) <= (X.d - 1) * oracle._FIRST_BATCH
 
     def test_all_tied_objectives_check_about_twice_the_rows_before_the_first_hit(
         self, monkeypatch
@@ -389,11 +402,26 @@ class TestRestrictedMin:
         cost = CostFunction(sum_agg(3), stop_loss(4.0))
         want, first, _ = restricted_reference(X, cost)
         assert want == 0.0 and first == 1879
-        rows = self._count_predicate_rows(monkeypatch)
+        rows, tables = self._count_predicate_rows(monkeypatch)
         assert brute_force_min_over_opposite_set(X, cost) == want
-        # batches of 64, 128, ... end at most 2 * first + 64 rows in (1984
-        # here, against 14400 when every row is filtered)
-        assert 0 < sum(rows) <= X.d * (2 * first + oracle._FIRST_BATCH)
+        # batches of 64, 128, ... end at most about twice the candidates
+        # before the first hit; the prefilter leaves about one of the 120
+        # rows of the last table per prefix, so the first batch of 64 holds
+        # it (14400 rows are checked when every row is filtered)
+        assert tables == [(120, 120)]
+        assert 0 < sum(rows) <= (X.d - 1) * oracle._FIRST_BATCH
+
+    def test_prefilter_runs_once_per_block(self, monkeypatch):
+        # d=4, n=3: 36 prefixes of 6 last-table rows; at most 30 arrangements
+        # a block gives 7 blocks of 5 whole prefixes and one of the last one
+        rng = np.random.default_rng(5)
+        X = matrix(*rng.uniform(size=(4, 3)))
+        cost = CostFunction(weighted_sum([0.6, 0.3, 0.8, 0.5]), stop_loss(1.2))
+        want = brute_force_min_over_opposite_set(X, cost)
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 30 * X.n**2)
+        rows, tables = self._count_predicate_rows(monkeypatch)
+        assert brute_force_min_over_opposite_set(X, cost) == want
+        assert tables == [(5, 6)] * 7 + [(1, 6)]
 
 
 class TestComonotonic:

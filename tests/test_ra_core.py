@@ -242,8 +242,11 @@ class TestRunRa:
             (lambda X: run_ra(X, SQ_SUM, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
             (lambda X: run_ra_restarts(X, SQ_SUM, restarts=0, seed=0), "restarts must be >= 1"),
             (lambda X: run_ra_restarts(X, SQ_SUM, restarts=2, seed=-1), "seed must be a non"),
+            (lambda X: run_ra(X, SQ_SUM, bound=math.inf), "bound must be None or finite, got inf"),
+            (lambda X: run_ra(X, SQ_SUM, bound=-math.inf), "bound must be None or finite, got -inf"),
+            (lambda X: run_ra(X, SQ_SUM, bound=math.nan), "bound must be None or finite, got nan"),
         ],
-        ids=["max_sweeps_0", "restarts_0", "seed_-1"],
+        ids=["max_sweeps_0", "restarts_0", "seed_-1", "bound_inf", "bound_-inf", "bound_nan"],
     )
     def test_argument_checks(self, run, message):
         with pytest.raises(ValueError, match=message):
@@ -487,7 +490,8 @@ class TestStopReason:
         # values on a coarse grid, so ties are common
         X = matrix(*(rng.integers(0, 4, size=(d, n)) / 2.0))
         cost = CostFunction(sum_agg(d), transform)
-        bounds = (None, jensen_bound(X, cost), math.inf, -math.inf, math.nan, objective(X, cost))
+        # non-finite bounds raise (TestRunRa.test_argument_checks)
+        bounds = (None, jensen_bound(X, cost), objective(X, cost))
         runs = [(run_ra(X, cost, max_sweeps=max_sweeps, bound=b), b) for b in bounds]
         restarted = run_ra_restarts(X, cost, restarts=3, seed=seed, max_sweeps=max_sweeps)
         runs.append((restarted, lower_bound(X, cost)[0]))
@@ -502,7 +506,7 @@ class TestStopReason:
                 and res.objective <= bound + CERTIFY_RTOL * (1 + abs(bound))
             )
             assert res.certified == (res.stop_reason == "certified")
-            assert res.bound == bound or (math.isnan(res.bound) and math.isnan(bound))
+            assert res.bound == bound
 
 
 class TestObjectiveCalls:
@@ -674,6 +678,18 @@ class TestLowerBound:
         X = matrix([1, 2, 3], [1, 2, 3])
         assert lower_bound(X, CostFunction(custom_sum2(), identity())) == (None, None)
         assert lower_bound(X, CostFunction(sum_agg(2), custom_transform(np.sqrt))) == (None, None)
+
+    @pytest.mark.parametrize("transform", [identity(), stop_loss(180.0), power(2.0)])
+    def test_one_shared_grid_gives_the_bound_of_equal_copies(self, transform):
+        # equal specs share one grid object, whose mean and prefix sums are
+        # taken once; 100 equal copies of it must give the same bits
+        grid = discretize(truncate_unbounded_sides(pareto(2.0)), 1000, "lower")
+        copies = [DiscreteMarginal(grid.values.copy()) for _ in range(100)]
+        cost = CostFunction(sum_agg(100), transform)
+        shared, copied = (ArrangementMatrix.comonotonic(m) for m in ([grid] * 100, copies))
+        assert jensen_bound(shared, cost).hex() == jensen_bound(copied, cost).hex()
+        (got, got_form), (want, want_form) = lower_bound(shared, cost), lower_bound(copied, cost)
+        assert (got.hex(), got_form) == (want.hex(), want_form)
 
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     @pytest.mark.parametrize("case", ["exponentials", "tiny_oracle_check", "wide_d100"])
