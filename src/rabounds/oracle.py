@@ -191,9 +191,9 @@ def _blocks(X: ArrangementMatrix, perms: np.ndarray):
     leading columns gathered for c prefixes ``(n, c, 1)`` and w rows of the
     last column's table ``(n, 1, w)`` to d read-only ``(n, c, w)`` views,
     row index first, so only the prefixes are gathered. Its arrangement
-    ``(a, b)`` has flat index ``lo + a * w + b``. A block holds at most ``max(1, _CHUNK_CELLS
-    // n**2)`` arrangements: whole prefixes when the last table fits, else
-    one prefix and a slice of the last table.
+    ``(a, b)`` has flat index ``lo + a * w + b``. A block holds at most
+    ``max(1, _CHUNK_CELLS // n**2)`` arrangements: whole prefixes when the
+    last table fits, else one prefix and a slice of the last table.
     """
     n, d = X.n, X.d
     count = perms.shape[0]
