@@ -13,19 +13,11 @@ does not fit raises :class:`~rabounds.errors.BudgetExceeded`, which carries
 the exact count, before it starts; the batch CLI calls :func:`within_budget`
 itself to skip such a case.
 
-Every aggregation kind takes one vectorized path that evaluates
-arrangements in blocks through the costfn row functions. A block broadcasts
-the fixed first column, the other columns' permutations gathered once per
-prefix, and a run of the last column's permutation table to one ``(n, c,
-w)`` shape, row index first, so no arrangement is gathered row by row and
-the objective adds whole ``(c, w)`` slabs. The restricted minimum runs the
-batch predicate ``majorization._opposite_violations``, an all-pairs test
-that flags exactly what the rearrangement step's sort-based
-``_opposite_order`` flags: once per block on the last column, whose partial
-depends on the prefix alone, and then on the other columns only of
-arrangements whose objective is below the best found so far, in objective
-order, stopping at the first that passes; the result is the same as
-filtering every arrangement.
+Every aggregation kind takes one vectorized path, :func:`_scan`, which
+evaluates arrangements in blocks (:func:`_blocks`) through the costfn row
+functions. The restricted minimum searches each block as
+:func:`_first_feasible` describes, with the result of filtering every
+arrangement.
 """
 
 from __future__ import annotations
@@ -117,55 +109,37 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def _take_least(cand: np.ndarray, obj: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The first k of ``cand`` in ``(obj, cand)`` order, in that order, and
-    the rest of ``cand`` in its own order; ``cand`` holds ascending indices.
-
-    One ``partition`` finds the k-th least objective, so only the rows below
-    it are sorted, not every candidate; the rows tied with it follow in
-    index order. A stable argsort of all of ``cand`` gives the same rows,
-    but sorts every candidate when the first batch usually ends the search.
-    """
-    vals = obj[cand]
-    cut = np.partition(vals, k - 1)[k - 1]
-    below = np.flatnonzero(vals < cut)
-    below = below[np.argsort(vals[below], kind="stable")]
-    tied = np.flatnonzero(vals == cut)[: k - below.size]
-    taken = np.concatenate([below, tied])
-    rest = np.ones(cand.size, dtype=bool)
-    rest[taken] = False
-    return cand[taken], cand[rest]
-
-
 def _first_feasible(
     agg: AggregationSpec, vals: list, obj: np.ndarray, best: float
 ) -> int:
     """Flat block index of the least objective below ``best`` whose
     arrangement is oppositely ordered, the lowest index among equal
-    objectives; -1 if none.
+    objectives; -1 if none. This is the restricted minimum's search.
 
     ``vals`` are the block's d ``(n, c, w)`` views and ``obj`` its ``(c,
     w)`` objectives. The last column's partial does not depend on the last
     column, so it is aggregated once per prefix, from the ``(n, c, 1)``
     slices, and one call of ``_opposite_violations`` against the last
     table's ``(n, 1, w)`` slice flags every row whose last column violates;
-    those rows are dropped. Of the rows left, only those with ``obj <
-    best`` are checked on the other d - 1 columns, in ``(objective,
-    index)`` order, in batches of 64, 128, ... rows (:func:`_take_least`),
-    and the first feasible row ends the search: the predicate sees at most
-    about twice the rows before that row, even when every objective ties.
-    That row is the one ``argmin(where(feasible, obj, inf))`` picks. A
-    batch is gathered as ``(n, rows)`` blocks, whose whole rows
-    ``_opposite_violations`` compares.
+    those rows are dropped. The rows left with ``obj < best`` are sorted
+    once, stably, into ``(objective, index)`` order and checked on the
+    other d - 1 columns in batches of 64, 128, ... rows, each gathered as
+    ``(n, rows)`` blocks whose whole rows ``_opposite_violations``
+    compares. The first feasible row ends the search, so the predicate sees
+    at most about twice the rows before it, even where tied partials leave
+    every row to the batches. That row is the one ``argmin(where(feasible,
+    obj, inf))`` picks, so the result is that of filtering every
+    arrangement, whatever the block size.
     """
     d = len(vals)
     part = eval_partial_rows(agg, d - 1, [v[:, :, :1] for v in vals[:-1]])
     obj = np.where(_opposite_violations(vals[-1][:, :1], part), np.inf, obj).ravel()
     cand = np.flatnonzero(obj < best)
+    cand = cand[np.argsort(obj[cand], kind="stable")]
     width = vals[0].shape[2]
-    size = _FIRST_BATCH
-    while cand.size:
-        rows, cand = _take_least(cand, obj, min(size, cand.size))
+    lo, size = 0, _FIRST_BATCH
+    while lo < cand.size:
+        rows = cand[lo : lo + size]
         prefix, last = np.divmod(rows, width)
         sub = [v[:, prefix, last] for v in vals]
         feasible = np.ones(rows.size, dtype=bool)
@@ -178,6 +152,7 @@ def _first_feasible(
         hits = np.flatnonzero(feasible)
         if hits.size:
             return int(rows[hits[0]])
+        lo += size
         size *= 2
     return -1
 
@@ -227,13 +202,8 @@ def _scan(
     rows' ``(c, w)`` slabs in row order. Up to n = 7 that is the order of
     ``np.sum`` in :func:`~rabounds.ra_core.objective`; from n = 8 on,
     ``np.sum`` adds pairwise, so the two can differ in the last bits.
-    "min_restricted" wants the least objective among rows in which every
-    column is oppositely ordered to its partial; it drops the rows whose
-    last column violates and runs the batch predicate
-    ``_opposite_violations`` (:func:`_first_feasible`) on the other columns
-    only of rows below the best so far, in ``(objective, index)`` order, so
-    the value and the arrangement are those of filtering every row and
-    taking the argmin. The result does not depend on the block size.
+    "min_restricted" takes each block's candidate from
+    :func:`_first_feasible`, "min" and "max" from the argmin.
     """
     _check_arity(X, cost.d)
     _check_budget(X, budget)
@@ -246,17 +216,13 @@ def _scan(
         obj = eval_g_rows(cost.transform, eval_h_rows(agg, vals)).sum(axis=0)
         if not np.all(np.isfinite(obj)):
             raise ValidationFailed("cost evaluates to a non-finite objective")
+        scored = sign * obj.ravel()
         if mode == "min_restricted":
             k = _first_feasible(agg, vals, obj, best)
-            if k >= 0:
-                best = float(obj.flat[k])
-                best_flat = lo + k
-            continue
-        scored = sign * obj.ravel()
-        k = int(np.argmin(scored))
-        if scored[k] < best:
-            best = float(scored[k])
-            best_flat = lo + k
+        else:
+            k = int(np.argmin(scored))
+        if k >= 0 and scored[k] < best:
+            best, best_flat = float(scored[k]), lo + k
     if mode == "min_restricted" and not np.isfinite(best):
         raise InternalInconsistency(
             "no oppositely-ordered arrangement found; the fixed-point set is never empty"
@@ -272,7 +238,12 @@ def brute_force_min(
     cost: CostFunction,
     budget: int = DEFAULT_BUDGET,
 ) -> Tuple[float, ArrangementMatrix]:
-    """Exact global minimum of the objective over all arrangements."""
+    """Exact global minimum of the objective over all arrangements.
+
+    From n = 8 on the value can differ in the last bits from
+    :func:`~rabounds.ra_core.objective` of the returned arrangement, which
+    sums its rows in another order (:func:`_scan`).
+    """
     return _scan(X, cost, budget, "min")
 
 
@@ -281,7 +252,12 @@ def brute_force_max(
     cost: CostFunction,
     budget: int = DEFAULT_BUDGET,
 ) -> Tuple[float, ArrangementMatrix]:
-    """Exact global maximum of the objective over all arrangements."""
+    """Exact global maximum of the objective over all arrangements.
+
+    From n = 8 on the value can differ in the last bits from
+    :func:`~rabounds.ra_core.objective` of the returned arrangement, which
+    sums its rows in another order (:func:`_scan`).
+    """
     return _scan(X, cost, budget, "max")
 
 

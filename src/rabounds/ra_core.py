@@ -351,23 +351,31 @@ def lower_bound(
     ``"jensen"`` wherever the value certifies against it, so float noise
     does not rename it. The bound holds for every coupling of the column
     marginals; ``(None, None)`` where :func:`jensen_bound` gives None.
+    Raises :class:`ValidationFailed` when the value or its Jensen term is
+    not finite, as :func:`objective` does for the objective: a bound that
+    overflows certifies nothing.
     """
-    jensen = jensen_bound(X, cost)
-    if jensen is None:
-        return None, None
-    g = cost.transform
-    if g.form == "identity":
-        return jensen, "jensen"
-    L, name = _split_curve(X, cost)
-    if g.form == "stop_loss":
-        value = float(np.max(L - g.param * np.arange(L.size)))
-    else:
-        # the majorant is piecewise linear: each hull segment adds its
-        # length times g of its slope
-        hull = _concave_hull(L)
-        lengths = np.diff(hull)
-        slopes = np.diff(L[hull]) / lengths
-        value = float(np.sum(lengths * eval_g_rows(g, slopes)))
+    # an overflow is reported below, as the case's error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        jensen = jensen_bound(X, cost)
+        if jensen is None:
+            return None, None
+        g = cost.transform
+        value, name = jensen, "jensen"
+        if g.form != "identity":
+            L, name = _split_curve(X, cost)
+            if g.form == "stop_loss":
+                value = float(np.max(L - g.param * np.arange(L.size)))
+            else:
+                # the majorant is piecewise linear: each hull segment adds
+                # its length times g of its slope
+                hull = _concave_hull(L)
+                lengths = np.diff(hull)
+                slopes = np.diff(L[hull]) / lengths
+                value = float(np.sum(lengths * eval_g_rows(g, slopes)))
+    for bound in (jensen, value):
+        if not np.isfinite(bound):
+            raise ValidationFailed(f"cost evaluates to a non-finite bound ({bound})")
     return max(value, jensen), "jensen" if _certifies(value, jensen) else name
 
 

@@ -521,6 +521,21 @@ class TestMain:
         out = tmp_path / "out.csv"
         assert main([str(bad), "--out", str(out)]) == 1
 
+    def test_overflowing_bound_stays_on_its_row(self, tmp_path):
+        # power 400 of the grid mean 10 overflows the certificate; the case
+        # fails on its row and the next case still runs
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(
+            "[case over]\nmarginal = uniform 0 10\nmarginal = uniform 0 10\n"
+            "aggregation = sum\ntransform = power 400\nn = 20\n\n" + PAIR
+        )
+        out = tmp_path / "out.csv"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        rows = rows_from_csv(out.read_text())
+        assert [r["case"] for r in rows] == ["over", "x"]
+        assert rows[0]["error"] == "ValidationFailed: cost evaluates to a non-finite bound (inf)"
+        assert rows[1]["error"] == "" and rows[1]["lower"] != ""
+
     def test_exit_two_on_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.cfg"
         bad.write_text("nonsense\n")

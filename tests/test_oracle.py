@@ -205,6 +205,19 @@ class TestBruteForceMin:
             assert got_min == pytest.approx(want_min, abs=1e-9)
             assert got_max == pytest.approx(want_max, abs=1e-9)
 
+    @pytest.mark.parametrize("transform", [power(2), stop_loss(1.0)])
+    def test_value_matches_the_objective_of_its_arrangement_at_n8(self, transform):
+        # from n = 8 on the scan adds its rows in row order and objective
+        # pairwise, so the two may differ in the last bits, never by more
+        rng = np.random.default_rng(8)
+        cost = CostFunction(sum_agg(2), transform)
+        for _ in range(6):
+            X = matrix(*rng.uniform(size=(2, 8)))
+            for scan in (brute_force_min, brute_force_max):
+                value, arrangement = scan(X, cost)
+                want = objective(arrangement, cost)
+                assert abs(value - want) <= 4 * np.finfo(float).eps * abs(want)
+
     def test_custom_aggregation_fallback_path(self):
         rng = np.random.default_rng(2)
         agg = custom_agg(
@@ -341,12 +354,19 @@ class TestRestrictedMin:
             out.append((ArrangementMatrix.from_columns(cols), cost))
         return out
 
+    @pytest.mark.parametrize("first_batch", [None, 1])
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("kind", ["ties", "untied", "weighted", "product"])
-    def test_scan_matches_filtering_every_arrangement(self, kind, chunk, monkeypatch):
+    def test_scan_matches_filtering_every_arrangement(
+        self, kind, chunk, first_batch, monkeypatch
+    ):
         # the scan checks the predicate only on rows below the best so far,
         # in objective order; filtering every row must give the same value
-        # and the same first attaining arrangement, across many chunks too
+        # and the same first attaining arrangement, across many chunks too,
+        # and with batches of 1, 2, 4, ... rows that cut runs of tied
+        # objectives
+        if first_batch is not None:
+            monkeypatch.setattr(oracle, "_FIRST_BATCH", first_batch)
         rng = np.random.default_rng(["ties", "untied", "weighted", "product"].index(kind))
         for X, cost in self._instances(kind, rng):
             want, _, want_cols = restricted_reference(X, cost)

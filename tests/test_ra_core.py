@@ -679,6 +679,24 @@ class TestLowerBound:
         assert lower_bound(X, CostFunction(custom_sum2(), identity())) == (None, None)
         assert lower_bound(X, CostFunction(sum_agg(2), custom_transform(np.sqrt))) == (None, None)
 
+    @pytest.mark.parametrize("where", ["jensen", "majorant"])
+    def test_non_finite_bound_fails_validation(self, where):
+        # power 400 of the grid mean 10 overflows Jensen's term; one value
+        # 1e150 among 999 zeros keeps Jensen finite under power 2.06, but the
+        # majorant's steepest slope overflows
+        if where == "jensen":
+            grid = discretize(uniform(0.0, 10.0), 20, "lower")
+            X = ArrangementMatrix.comonotonic([grid, grid])
+            cost = CostFunction(sum_agg(2), power(400.0))
+        else:
+            col = np.zeros(1000)
+            col[-1] = 1e150
+            X = matrix(col, col)
+            cost = CostFunction(sum_agg(2), power(2.06))
+            assert np.isfinite(jensen_bound(X, cost))
+        with pytest.raises(ValidationFailed, match="non-finite bound"):
+            lower_bound(X, cost)
+
     @pytest.mark.parametrize("transform", [identity(), stop_loss(180.0), power(2.0)])
     def test_one_shared_grid_gives_the_bound_of_equal_copies(self, transform):
         # equal specs share one grid object, whose mean and prefix sums are
