@@ -65,10 +65,10 @@ __all__ = [
 
 
 class ParseError(RaboundsError):
-    """Config text is malformed; carries the offending line number."""
+    """Config text is malformed; carries the offending line number, if any."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: Optional[int], message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -142,19 +142,10 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_number(token: str, line_no: int, kind=float):
+def _parse_number(token: str, line_no: int) -> float:
     try:
-        if kind is int:
-            try:
-                return int(token)
-            except ValueError:
-                as_float = float(token)  # allow exponent spellings like 1e5
-                as_int = int(as_float)
-                if as_int != as_float:
-                    raise ValueError(token)
-                return as_int
-        return kind(token)
-    except (ValueError, OverflowError):
+        return float(token)
+    except ValueError:
         raise ParseError(line_no, f"expected a number, got {token!r}") from None
 
 
@@ -167,7 +158,13 @@ def _parse_flag(value: str, line_no: int, base_dir: Path) -> bool:
 
 
 def _parse_count(value: str, line_no: int, base_dir: Path) -> int:
-    return _parse_number(value, line_no, int)
+    with contextlib.suppress(ValueError):
+        return int(value)
+    with contextlib.suppress(ValueError, OverflowError):
+        as_float = float(value)  # an exponent spelling like 1e5
+        if as_float == int(as_float):
+            return int(as_float)
+    raise ParseError(line_no, f"expected an integer, got {value!r}")
 
 
 def _numeric(make):
@@ -260,10 +257,11 @@ def _parse_transform(value: str, line_no: int, base_dir: Path):
     return _build(_TRANSFORMS, "transform", tokens, line_no, base_dir)
 
 
-# case key -> (parser(value, line_no, base_dir), default); a global "seed" line
-# replaces the default seed. A repeated key keeps its last value, except
-# "marginal", whose lines append in order. The keys named like CaseConfig
-# fields pass through to it unchanged.
+# key -> (parser(value, line_no, base_dir), default), for the lines before the
+# first case and for those inside one. A repeated key keeps its last value,
+# except "marginal", whose lines append in order. The case keys named like
+# CaseConfig fields pass through to it unchanged.
+_GLOBAL_KEYS = {"seed": (_parse_count, 0), "max_sweeps": (_parse_count, DEFAULT_MAX_SWEEPS)}
 _CASE_KEYS = {
     "marginal": (_parse_marginal, ()),
     "weights": (
@@ -274,11 +272,15 @@ _CASE_KEYS = {
     "transform": (_parse_transform, identity()),
     "n": (_parse_count, None),
     "restarts": (_parse_count, 1),
-    "seed": (_parse_count, 0),
+    "seed": (_parse_count, None),  # default: the global seed
     "oracle": (_parse_flag, False),
     "oracle_budget": (_parse_count, DEFAULT_BUDGET),
     "auto_truncate": (_parse_flag, True),
 }
+
+# The least value of each count, whether a case line, a global line or a flag
+# gives it.
+_LEAST = {"n": 1, "restarts": 1, "seed": 0, "oracle_budget": 1, "max_sweeps": 1}
 
 
 def _finish_case(cid: str, raw: Dict) -> CaseConfig:
@@ -307,14 +309,6 @@ def _finish_case(cid: str, raw: Dict) -> CaseConfig:
         raise ValidationError(f"case {cid!r}: unknown aggregation {aggregation!r}")
     if raw["n"] is None:
         raise ValidationError(f"case {cid!r}: n is required")
-    if raw["n"] < 1:
-        raise ValidationError(f"case {cid!r}: n must be >= 1")
-    if raw["restarts"] < 1:
-        raise ValidationError(f"case {cid!r}: restarts must be >= 1")
-    if raw["seed"] < 0:
-        raise ValidationError(f"case {cid!r}: seed must be non-negative")
-    if raw["oracle_budget"] < 1:
-        raise ValidationError(f"case {cid!r}: oracle_budget must be >= 1")
     return CaseConfig(case_id=cid, specs=specs, cost=CostFunction(agg, transform), **raw)
 
 
@@ -323,15 +317,16 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
 
     A case without a ``seed`` line takes the global ``seed`` (0 if absent).
     Raises :class:`ParseError` for malformed lines and
-    :class:`ValidationError` for semantic problems (a wrong parameter count,
-    non-positive or non-finite weights, a missing marginal or n, ...).
+    :class:`ValidationError` for semantic problems (a count below its least
+    value, a wrong parameter count, non-positive or non-finite weights, a
+    missing marginal or n, ...).
     """
     base = Path(base_dir)
+    settings = {key: default for key, (_, default) in _GLOBAL_KEYS.items()}
     case_defaults = {key: default for key, (_, default) in _CASE_KEYS.items()}
-    global_max_sweeps = DEFAULT_MAX_SWEEPS
     cases: List[CaseConfig] = []
     cid: Optional[str] = None
-    current: Dict = {}
+    current, keys = settings, _GLOBAL_KEYS
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,37 +341,31 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             if cid is not None:
                 cases.append(_finish_case(cid, current))
             if head[1] in (c.case_id for c in cases):
-                raise ValidationError(f"duplicate case id {head[1]!r}")
+                raise ValidationError(f"line {line_no}: duplicate case id {head[1]!r}")
             cid = head[1]
-            current = dict(case_defaults)
+            current, keys = dict(case_defaults, seed=settings["seed"]), _CASE_KEYS
             continue
         if "=" not in line:
             raise ParseError(line_no, f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if cid is None:
-            if key == "seed":
-                case_defaults["seed"] = _parse_number(value, line_no, int)
-                if case_defaults["seed"] < 0:
-                    raise ValidationError("global seed must be non-negative")
-            elif key == "max_sweeps":
-                global_max_sweeps = _parse_number(value, line_no, int)
-                if global_max_sweeps < 1:
-                    raise ValidationError("max_sweeps must be >= 1")
-            else:
+        if key not in keys:
+            if cid is None:
+                raise ParseError(line_no, f"key {key!r} must appear inside a [case ...] block")
+            if key in _GLOBAL_KEYS:
                 raise ParseError(
-                    line_no, f"key {key!r} must appear inside a [case ...] block"
+                    line_no, f"key {key!r} must appear before the first [case ...] block"
                 )
-            continue
-        if key not in _CASE_KEYS:
             raise ParseError(line_no, f"unknown key {key!r}")
-        parsed = _CASE_KEYS[key][0](value, line_no, base)
+        parsed = keys[key][0](value, line_no, base)
+        if key in _LEAST and parsed < _LEAST[key]:
+            raise ValidationError(f"line {line_no}: {key} must be >= {_LEAST[key]}")
         current[key] = (current[key] + (parsed,)) if key == "marginal" else parsed
 
     if cid is not None:
         cases.append(_finish_case(cid, current))
     if not cases:
-        raise ParseError(0, "config declares no cases")
-    return RunConfig(cases=tuple(cases), max_sweeps=global_max_sweeps)
+        raise ParseError(None, "config declares no cases")
+    return RunConfig(cases=tuple(cases), max_sweeps=settings["max_sweeps"])
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +483,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RaboundsError as exc:
         print(f"rabounds: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None and args.seed < 0:
-        print("rabounds: --seed must be non-negative", file=sys.stderr)
-        return 2
-    if args.max_sweeps is not None and args.max_sweeps < 1:
-        print("rabounds: --max-sweeps must be >= 1", file=sys.stderr)
-        return 2
+    for key in ("seed", "max_sweeps"):
+        value = getattr(args, key)
+        if value is not None and value < _LEAST[key]:
+            flag = "--" + key.replace("_", "-")
+            print(f"rabounds: {flag} must be >= {_LEAST[key]}", file=sys.stderr)
+            return 2
     cases = tuple(
         replace(c, seed=c.seed if args.seed is None else args.seed, oracle=c.oracle or args.oracle)
         for c in config.cases

@@ -104,8 +104,9 @@ n = 10
             parse_config(text)
 
     def test_empty_case_list(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_config("seed = 3\n")
+        assert err.value.line_no is None
 
     def test_unknown_key_carries_line_number(self):
         text = "[case x]\nmarginal = uniform 0 1\nmarginal = uniform 0 1\nn = 4\nfrobnicate = 7\naggregation = sum\n"
@@ -258,19 +259,27 @@ n = 10
              "case 'x': needs weights or aggregation = sum"),
             (PAIR.replace("= sum", "= product"), ValidationError,
              "case 'x': unknown aggregation 'product'"),
-            (PAIR.replace("n = 4", "n = 0"), ValidationError, "case 'x': n must be >= 1"),
-            (PAIR + "restarts = 0\n", ValidationError, "case 'x': restarts must be >= 1"),
-            (PAIR + "seed = -1\n", ValidationError, "case 'x': seed must be non-negative"),
-            (PAIR + "oracle_budget = 0\n", ValidationError,
-             "case 'x': oracle_budget must be >= 1"),
+            (PAIR.replace("n = 4", "n = 0"), ValidationError, "line 5: n must be >= 1"),
+            (PAIR + "restarts = 0\n", ValidationError, "line 6: restarts must be >= 1"),
+            (PAIR + "seed = -1\n", ValidationError, "line 6: seed must be >= 0"),
+            (PAIR + "oracle_budget = 0\n", ValidationError, "line 6: oracle_budget must be >= 1"),
+            (PAIR.replace("n = 4", "n = 0.5"), ParseError, "line 5: expected an integer, got '0.5'"),
+            (PAIR.replace("n = 4\n", ""), ValidationError, "case 'x': n is required"),
+            (PAIR.replace("aggregation", "weights = 0.5 0.5\naggregation"), ValidationError,
+             "case 'x': give either weights or aggregation, not both"),
+            (PAIR + PAIR, ValidationError, "line 6: duplicate case id 'x'"),
             (PAIR + "oracle = maybe\n", ParseError, "line 6: expected on/off, got 'maybe'"),
             ("[case x\n", ParseError, "line 1: malformed case header '[case x'"),
             ("[case x y]\n", ParseError,
              "line 1: case header must be [case <id>], got '[case x y]'"),
-            ("seed = -1\n" + PAIR, ValidationError, "global seed must be non-negative"),
-            ("max_sweeps = 0\n" + PAIR, ValidationError, "max_sweeps must be >= 1"),
+            ("seed = -1\n" + PAIR, ValidationError, "line 1: seed must be >= 0"),
+            ("max_sweeps = 0\n" + PAIR, ValidationError, "line 1: max_sweeps must be >= 1"),
+            ("seed = 1.5\n" + PAIR, ParseError, "line 1: expected an integer, got '1.5'"),
             ("n = 4\n" + PAIR, ParseError,
              "line 1: key 'n' must appear inside a [case ...] block"),
+            (PAIR + "max_sweeps = 5\n", ParseError,
+             "line 6: key 'max_sweeps' must appear before the first [case ...] block"),
+            ("seed = 3\n", ParseError, "config declares no cases"),
             (PAIR.replace("0 1\naggregation", "0 1 truncate 0.1\naggregation"), ParseError,
              "line 3: truncate needs exactly p_lo and p_hi"),
             (PAIR.replace("0 1\naggregation", "0 1 truncate 0.9 0.1\naggregation"),
@@ -284,8 +293,10 @@ n = 10
         ],
         ids=[
             "one_marginal", "no_aggregation", "unknown_aggregation", "n_0", "restarts_0",
-            "case_seed_-1", "oracle_budget_0", "flag_maybe", "unclosed_header",
-            "two_word_id", "global_seed_-1", "global_max_sweeps_0", "case_key_before_case",
+            "case_seed_-1", "oracle_budget_0", "n_0.5", "no_n", "weights_and_aggregation",
+            "duplicate_id", "flag_maybe", "unclosed_header", "two_word_id", "global_seed_-1",
+            "global_max_sweeps_0", "global_seed_1.5", "case_key_before_case",
+            "global_key_in_case", "no_cases",
             "truncate_one_bound", "truncate_empty_window", "empirical_missing",
             "empirical_bad_value", "empirical_blank",
         ],
@@ -570,7 +581,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["ok.cfg", "--seed", "-1"], "rabounds: --seed must be non-negative\n"),
+            (["ok.cfg", "--seed", "-1"], "rabounds: --seed must be >= 0\n"),
             (["missing.cfg"], "rabounds: cannot read config: "),
         ],
         ids=["seed_-1", "unreadable_config"],

@@ -1,7 +1,8 @@
 """Every name a rabounds module exports resolves, so no deleted name stays exported.
 
 The same holds for every name the benchmark's tracer patches, and for every
-result attribute and report column the benchmark's checks read."""
+config attribute, result attribute and report column the benchmark's checks
+read."""
 
 import csv
 import importlib
@@ -47,14 +48,19 @@ SIDES = ("lower", "upper")
 BOUNDS_ATTRS = ["lower_estimate", "upper_estimate"] + [
     f"{name}_{kind}" for name in ("sup", "converged", "sweeps") for kind in SIDES
 ]
-# perfbench/tracer.py:95-113 and workloads.py:330-344 read these of a run,
+# perfbench/tracer.py:95-113 and workloads.py:330-341 read these of a run,
 # and tracer.py:96-97 and workloads.py:332-341 these of an ArrangementMatrix
 RUN_ATTRS = ["objective", "matrix", "converged", "sweeps", "column_rearrangements"]
 MATRIX_ATTRS = ["n", "d", "provenance", "columns_match_provenance"]
-# perfbench/workloads.py:220-240 reads these columns of the CLI report
+# perfbench/workloads.py:220-241 reads these columns of the CLI report
 CSV_COLUMNS = ["case", "lower", "upper", "theorem_check", "error"] + [
     f"{name}_{kind}" for name in ("sup", "converged", "sweeps", "oracle") for kind in SIDES
 ]
+# perfbench/workloads.py:192 and 203 read the cases of the parsed config,
+# lines 192 and 220-225 these of each case, and 107-123 these of its
+# aggregation and transform
+CASE_ATTRS = ["case_id", "specs", "cost", "n", "auto_truncate"]
+COST_ATTRS = {"agg": ["kind", "d", "weights"], "transform": ["form", "param"]}
 
 
 def test_benchmark_reads_resolve():
@@ -76,8 +82,13 @@ transform = power 2
 n = 3
 oracle = on
 """
+    config = cli.parse_config(text)
+    (case,) = config.cases
+    assert [a for a in CASE_ATTRS if not hasattr(case, a)] == []
+    for part, attrs in COST_ATTRS.items():
+        assert [a for a in attrs if not hasattr(getattr(case.cost, part), a)] == [], part
     out = io.StringIO()
-    cli.write_csv(cli.run_cases(cli.parse_config(text)), out)
+    cli.write_csv(cli.run_cases(config), out)
     (row,) = csv.DictReader(io.StringIO(out.getvalue()))
     assert [c for c in CSV_COLUMNS if c not in row] == []
     assert row["case"] == "tiny" and row["error"] == ""
