@@ -137,12 +137,18 @@ def _opposite_order(
     ``order`` is the stable descending argsort of y: a rearrangement of x
     places its ascending values there; the rearrangement step needs it.
     ``violated`` is False exactly when ``(x_i - x_j) * (y_i - y_j) <= 0``
-    for every index pair, that is when no group of distinct y values along
-    ``order`` starts with the running max of x before it above the running
-    min from it on; ties in y place no constraint on x. Only values are
+    for every index pair. Along ``order`` y falls, and its ties form groups
+    inside which x is free, so x must rise from group to group: each
+    group's max of x at most the next group's min, which by transitivity
+    bounds every later group too. The check compares neighbours of x along
+    ``order``. If x never descends, nothing is violated. A descent across a
+    group boundary is a violated pair; the first descent is tried alone
+    before all of them. Only when every descent lies inside a group are the
+    groups' maxima and minima (``reduceat``) compared. Only values are
     compared, so nothing can underflow. A NaN in x or y is a violation, as
-    the definition's product is then NaN: NaN sorts last in ``-y``, and the
-    running max of x ends in NaN when x holds one.
+    the definition's product is then NaN: NaN sorts last in ``-y``, and a
+    NaN in x fails the comparison with its neighbours and becomes its
+    group's max and min. n <= 1 has no pair but is violated by a NaN too.
 
     ``hint`` is a permutation that nearly sorts y descending, such as the
     ``order`` of a previous, similar y. It only makes the sort faster; the
@@ -160,14 +166,25 @@ def _opposite_order(
         key.real = -y[hint]
         key.imag = hint
         order = hint[np.argsort(key, kind="stable")]
-    if y.size == 0:
+    xs = x[order]
+    if y.size <= 1 or math.isnan(y[order[-1]]):
+        return order, bool(np.isnan(xs).any() or np.isnan(y).any())
+    up = xs[1:] >= xs[:-1]
+    k = int(up.argmin())  # the first descent, if any
+    if up[k]:
         return order, False
-    ys, xs = y[order], x[order]
-    starts = ys[1:] != ys[:-1]
-    running_max = np.maximum.accumulate(xs)
-    after = np.minimum.accumulate(xs[::-1])[::-1][1:]
-    nan = math.isnan(ys[-1]) or math.isnan(running_max[-1])
-    return order, bool(nan or (starts & ~(running_max[:-1] <= after)).any())
+    if y[order[k]] != y[order[k + 1]]:
+        return order, True
+    ys = y[order]
+    first = np.empty(y.size, dtype=bool)  # starts a group of tied y
+    first[0] = True
+    np.not_equal(ys[1:], ys[:-1], out=first[1:])
+    if (first[1:] > up).any():
+        return order, True
+    starts = np.flatnonzero(first)
+    hi = np.maximum.reduceat(xs, starts)
+    lo = np.minimum.reduceat(xs, starts)
+    return order, math.isnan(hi[-1]) or not (hi[:-1] <= lo[1:]).all()
 
 
 def _opposite_violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -145,6 +145,29 @@ class TestOppositelyOrdered:
             assert _opposite_order(x, y, hint)[1]
         assert _opposite_violations(x[:, None], y[:, None]).tolist() == [True]
 
+    @pytest.mark.parametrize(
+        "x, y, violated",
+        [
+            # the tied group's max 2 exceeds the next group's 1.5, although
+            # the adjacent pair 1 -> 1.5 rises
+            ([2.0, 1.0, 1.5], [1.0, 1.0, 0.0], True),
+            ([2.0, 1.0, 3.0], [1.0, 1.0, 0.0], False),
+            # a NaN inside a tied group, every other neighbour rising
+            ([np.nan, 0.0, 1.0], [1.0, 1.0, 0.0], True),
+            ([0.0, 1.0, 3.0, np.nan], [2.0, 1.0, 1.0, 1.0], True),
+            # the first descent lies inside a group, a later one crosses
+            ([1.0, 0.0, 3.0, 2.0], [2.0, 2.0, 1.0, 0.0], True),
+        ],
+        ids=["max_above_next_min", "max_below_next_min", "nan_first", "nan_last", "later_descent"],
+    )
+    def test_tied_group_max_against_next_group_min(self, x, y, violated):
+        # a check of adjacent pairs alone gets the first three wrong
+        x, y = np.array(x), np.array(y)
+        assert is_oppositely_ordered(x, y) is not violated
+        for hint in (None, np.arange(x.size)[::-1]):
+            assert _opposite_order(x, y, hint)[1] is violated
+        assert _opposite_violations(x[:, None], y[:, None]).tolist() == [violated]
+
     def test_trivial_sizes(self):
         assert is_oppositely_ordered([], [])
         assert is_oppositely_ordered([4.0], [9.0])
@@ -243,8 +266,9 @@ def test_broadcast_table_flags_what_the_materialized_pairs_flag():
 
 def test_batch_predicate_flags_what_the_sort_kernel_flags():
     # seeded (rows, n) blocks drawn from ties, both zeros, both infinities
-    # and NaN, n = 1..8; the batch predicate compares pairs, the 1-D kernel
-    # sorts, and every row's flag must agree, NaN rows included
+    # and NaN, n = 1..8, then tie-heavy blocks at larger n; the batch
+    # predicate compares pairs, the 1-D kernel sorts, and every row's flag
+    # must agree, NaN rows included
     rng = np.random.default_rng(23)
     values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, -np.inf, np.inf, np.nan])
     for n in range(1, 9):
@@ -257,6 +281,36 @@ def test_batch_predicate_flags_what_the_sort_kernel_flags():
             if p_nan:
                 has_nan = np.isnan(x).any(axis=1) | np.isnan(y).any(axis=1)
                 assert has_nan.any() and flags[has_nan].all()
+    # n = 16, 64, 257 on the same values: x rises from group to group of
+    # y's ties but is shuffled inside them, one swap may break that, and a
+    # NaN may land in x or y; each vector goes cold and from a random
+    # warm-start order. Rows whose every descent lies inside a tie group
+    # reach the kernel's comparison of group maxima and minima.
+    grouped = {False: 0, True: 0}
+    for n in (16, 64, 257):
+        x, y = rng.choice(values[:-1], size=(2, 60, n))
+        for xr, yr in zip(x, y):
+            order = np.argsort(-yr, kind="stable")
+            ys = yr[order]
+            group = np.r_[0, np.cumsum(ys[1:] != ys[:-1])]
+            xr[order] = np.sort(xr)[np.lexsort((rng.random(n), group))]
+            if rng.random() < 0.5:
+                i, j = rng.integers(n, size=2)
+                xr[[i, j]] = xr[[j, i]]
+            nan_in = rng.integers(6)
+            if nan_in < 2:
+                (xr, yr)[nan_in][rng.integers(n)] = np.nan
+        flags = _opposite_violations(x.T, y.T)
+        for xr, yr, flag in zip(x, y, flags):
+            order, violated = _opposite_order(xr, yr)
+            warm_order, warm_violated = _opposite_order(xr, yr, rng.permutation(n))
+            assert violated == warm_violated == flag
+            assert np.array_equal(warm_order, order)
+            xs, ys = xr[order], yr[order]
+            down = ~(xs[1:] >= xs[:-1])
+            if down.any() and not (down & (ys[1:] != ys[:-1])).any():
+                grouped[violated] += 1
+    assert grouped[False] and grouped[True]
 
 
 class TestRearrangementInequalities:
