@@ -170,7 +170,7 @@ def _opposite_order(
     if y.size <= 1 or math.isnan(y[order[-1]]):
         return order, bool(np.isnan(xs).any() or np.isnan(y).any())
     up = xs[1:] >= xs[:-1]
-    k = int(up.argmin())  # the first descent, if any
+    k = up.argmin()  # the first descent, if any
     if up[k]:
         return order, False
     if y[order[k]] != y[order[k + 1]]:
